@@ -32,17 +32,12 @@ class DataError(ValueError):
     """Input files missing, malformed, or inconsistent with the request."""
 
 
-MODEL_KEYS = {
-    "depth": int, "blocks": int, "transformer_layers": int, "heads": int,
-    "ffn_hidden": int, "dropout_rate": float, "width_mult": float,
-}
-TRAIN_KEYS = {
-    "epochs": int, "batch_size": int, "learning_rate": float,
-    "beta1": float, "beta2": float, "eps": float, "seed": int,
-    "max_steps": int, "checkpoint_every": int,
-}
-EVAL_KEYS = {"lsd_frame": int, "lsd_hop": int}
-ALL_KEYS = {**MODEL_KEYS, **TRAIN_KEYS, **EVAL_KEYS}
+# Config-file keys are exactly the ModelConfig and TrainConfig fields, typed
+# by their defaults; the patch archive sets upscale and patch_length.
+ARCHIVE_KEYS = ("upscale", "patch_length")
+CONFIG_TYPES = {f.name: type(f.default)
+                for cls in (ModelConfig, trainer.TrainConfig)
+                for f in dataclasses.fields(cls) if f.name not in ARCHIVE_KEYS}
 
 
 def parse_config_file(path):
@@ -58,24 +53,21 @@ def parse_config_file(path):
             key, _, val = line.partition("=")
             key = key.strip()
             val = val.strip()
-            if key not in ALL_KEYS:
+            if key not in CONFIG_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
             try:
-                values[key] = ALL_KEYS[key](val)
+                values[key] = CONFIG_TYPES[key](val)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {exc}")
     return values
 
 
 def resolve_configs(file_values, patch_length, scale):
-    model_cfg = ModelConfig(patch_length=patch_length, upscale=scale)
-    for key, _ in MODEL_KEYS.items():
-        if key in file_values:
-            setattr(model_cfg, key, file_values[key])
-    train_cfg = trainer.TrainConfig()
-    for key, _ in TRAIN_KEYS.items():
-        if key in file_values:
-            setattr(train_cfg, key, file_values[key])
+    model_names = {f.name for f in dataclasses.fields(ModelConfig)}
+    model_cfg = ModelConfig(patch_length=patch_length, upscale=scale,
+                            **{k: v for k, v in file_values.items() if k in model_names})
+    train_cfg = trainer.TrainConfig(
+        **{k: v for k, v in file_values.items() if k not in model_names})
     if "AFSR_SEED" in os.environ:
         train_cfg.seed = int(os.environ["AFSR_SEED"])
     return model_cfg, train_cfg

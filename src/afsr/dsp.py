@@ -80,14 +80,6 @@ def design_cheby1_lowpass(order, ripple_db, cutoff_normalized):
     return IIRFilter(b, a)
 
 
-def apply_iir(filt, sig):
-    """Causal direct-form transposed-II filtering; length-preserving."""
-    if len(sig) == 0:
-        raise ValueError("cannot filter an empty signal")
-    out = signal.lfilter(filt.b, filt.a, sig.samples)
-    return AudioSignal(out, sig.sample_rate_hz)
-
-
 def _zero_phase(filt, x):
     """Forward-backward filtering; removes the IIR phase distortion that
     would otherwise wreck waveform-domain SNR after resampling."""

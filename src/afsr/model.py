@@ -40,8 +40,16 @@ class ModelConfig:
     width_mult: float = 1.0
 
     def validate(self):
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        ranges = (("depth", self.depth >= 1, ">= 1"),
+                  ("blocks", self.blocks >= 1, ">= 1"),
+                  ("transformer_layers", self.transformer_layers >= 0, ">= 0"),
+                  ("heads", self.heads >= 1, ">= 1"),
+                  ("ffn_hidden", self.ffn_hidden >= 1, ">= 1"),
+                  ("dropout_rate", 0.0 <= self.dropout_rate < 1.0, "in [0, 1)"),
+                  ("width_mult", self.width_mult > 0.0, "> 0"))
+        for name, ok, bound in ranges:
+            if not ok:
+                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)}")
         if self.patch_length % (2 ** (self.depth + 1)) != 0:
             raise DivisibilityError(
                 f"patch length {self.patch_length} is not divisible by "
@@ -52,43 +60,40 @@ class ModelConfig:
                 raise DivisibilityError(
                     f"block count {self.blocks} does not divide the time axis "
                     f"{level_len} at level {k}")
-        for k in range(1, self.depth + 1):
-            c = self.channels(k)
-            if c % self.heads != 0:
-                raise ValueError(
-                    f"head count {self.heads} does not divide channel count "
-                    f"{c} at level {k}")
-        if self.channels(self.depth + 1) % self.heads != 0:
-            raise ValueError("head count does not divide bottleneck channels")
 
     def channels(self, k):
-        """Scaled filter count for downsampling level k (bottleneck at K+1)."""
+        """Scaled filter count for downsampling level k (bottleneck at K+1);
+        always a multiple of `heads`."""
         base = min(2 ** (6 + k), 512)
         scaled = int(round(base * self.width_mult / self.heads)) * self.heads
         return max(self.heads, scaled)
 
+    def layer_table(self):
+        """One row per conv level in build order:
+        (name, out channels, filter length, in channels, AFiLM channels).
 
-@dataclass
-class BlockSpec:
-    n_filters: int
-    filter_length: int
-    stride: int
+        Level k of K down blocks (the bottleneck is k = K+1) has filter
+        length max(2^(7-k)+1, 9), after Kuleshov et al. 2017. Up block k
+        mirrors level K-k+1 with twice its filters, which the subpixel
+        shuffle halves back before the skip concatenation doubles them
+        again. `final` has no AFiLM (None).
+        """
+        def length(k):
+            return max(2 ** (7 - k) + 1, 9)
 
-
-def block_spec_down(k, depth):
-    """Downsampling block k: growing filter count, shrinking filter length."""
-    if not 1 <= k <= depth:
-        raise ValueError(f"downsampling block index {k} outside 1..{depth}")
-    return BlockSpec(min(2 ** (6 + k), 512), max(2 ** (7 - k) + 1, 9), 2)
-
-
-def block_spec_up(k, depth):
-    """Upsampling block k mirrors down block K-k+1; filters are doubled so
-    the subpixel shuffle halves them back to the mirrored count."""
-    if not 1 <= k <= depth:
-        raise ValueError(f"upsampling block index {k} outside 1..{depth}")
-    j = depth - k + 1
-    return BlockSpec(2 * min(2 ** (6 + j), 512), max(2 ** (7 - j) + 1, 9), 1)
+        K = self.depth
+        rows = []
+        cin = 1
+        for k in range(1, K + 2):
+            c = self.channels(k)
+            rows.append((f"down{k}" if k <= K else "bottleneck", c, length(k), cin, c))
+            cin = c
+        for k in range(1, K + 1):
+            c = self.channels(K - k + 1)
+            rows.append((f"up{k}", 2 * c, length(K - k + 1), cin, c))
+            cin = 2 * c
+        rows.append(("final", 2, 9, cin, None))
+        return rows
 
 
 def subpixel_shuffle_1d(x, factor):
@@ -119,6 +124,12 @@ def multi_head_attention(x, wq, bq, wk, wv, bv, wo, bo, heads):
     attn = softmax(scores, axis=-1)
     mixed = (attn @ v).transpose(1, 0, 2).reshape(B, C)
     return mixed @ wo + bo
+
+
+# Per-layer tensors of a modulation generator, in creation order: weights
+# (w*) are Glorot-initialised, layer-norm gains (*_g) ones, the rest zeros.
+AFILM_LAYER_PARAMS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "wv", "bv", "wo",
+                      "bo", "ln2_g", "ln2_b", "w1", "b1", "w2", "b2")
 
 
 @dataclass
@@ -202,22 +213,16 @@ class Model:
         self._param(f"{name}.b", np.zeros(cout, dtype=self.dtype))
 
     def _add_afilm(self, rng, prefix, C):
-        cfg = self.config
-        d = cfg.ffn_hidden
-        for i in range(cfg.transformer_layers):
-            p = f"{prefix}.l{i}"
-            self._param(f"{p}.ln1_g", np.ones(C, dtype=self.dtype))
-            self._param(f"{p}.ln1_b", np.zeros(C, dtype=self.dtype))
-            for w in ("wq", "wk", "wv", "wo"):
-                self._param(f"{p}.{w}", _glorot(rng, (C, C), C, C, self.dtype))
-                if w != "wk":
-                    self._param(f"{p}.b{w[1]}", np.zeros(C, dtype=self.dtype))
-            self._param(f"{p}.ln2_g", np.ones(C, dtype=self.dtype))
-            self._param(f"{p}.ln2_b", np.zeros(C, dtype=self.dtype))
-            self._param(f"{p}.w1", _glorot(rng, (C, d), C, d, self.dtype))
-            self._param(f"{p}.b1", np.zeros(d, dtype=self.dtype))
-            self._param(f"{p}.w2", _glorot(rng, (d, C), d, C, self.dtype))
-            self._param(f"{p}.b2", np.zeros(C, dtype=self.dtype))
+        d = self.config.ffn_hidden
+        shapes = {"w1": (C, d), "b1": (d,), "w2": (d, C)}
+        for i in range(self.config.transformer_layers):
+            for key in AFILM_LAYER_PARAMS:
+                if key[0] == "w":
+                    shape = shapes.get(key, (C, C))
+                    value = _glorot(rng, shape, *shape, self.dtype)
+                else:
+                    value = np.full(shapes.get(key, (C,)), float(key.endswith("_g")))
+                self._param(f"{prefix}.l{i}.{key}", value)
         # small weights + (1...1, 0...0) bias start near identity modulation
         # while still letting gradient reach the generator stack
         self._param(f"{prefix}.head_w",
@@ -226,29 +231,10 @@ class Model:
                     np.concatenate([np.ones(C), np.zeros(C)]).astype(self.dtype))
 
     def _build(self, rng):
-        cfg = self.config
-        K = cfg.depth
-        cin = 1
-        for k in range(1, K + 1):
-            spec = block_spec_down(k, K)
-            cout = cfg.channels(k)
-            self._add_conv(rng, f"down{k}.conv", cout, spec.filter_length, cin)
-            self._add_afilm(rng, f"down{k}.film", cout)
-            cin = cout
-        c_bn = cfg.channels(K + 1)
-        w_bn = max(2 ** (7 - (K + 1)) + 1, 9)
-        self._add_conv(rng, "bottleneck.conv", c_bn, w_bn, cin)
-        self._add_afilm(rng, "bottleneck.film", c_bn)
-        cin = c_bn
-        for k in range(1, K + 1):
-            j = K - k + 1
-            spec = block_spec_up(k, K)
-            c_mirror = cfg.channels(j)
-            self._add_conv(rng, f"up{k}.conv", 2 * c_mirror, spec.filter_length, cin)
-            self._add_afilm(rng, f"up{k}.film", c_mirror)
-            # shuffled output concatenated with the mirrored skip
-            cin = c_mirror + c_mirror
-        self._add_conv(rng, "final.conv", 2, 9, cin)
+        for name, cout, width, cin, film_channels in self.config.layer_table():
+            self._add_conv(rng, f"{name}.conv", cout, width, cin)
+            if film_channels is not None:
+                self._add_afilm(rng, f"{name}.film", film_channels)
         # start the correction branch near zero so the initial model is
         # approximately the identity on its (already upsampled) input
         self.params["final.conv.w"].data *= 0.01
@@ -287,17 +273,12 @@ class Model:
                 [np.ones(C), np.zeros(C)]).astype(self.dtype)
 
     def _film(self, prefix):
-        cfg = self.config
-        layers = []
-        for i in range(cfg.transformer_layers):
-            p = f"{prefix}.l{i}"
-            layers.append({key: self.params[f"{p}.{key}"] for key in
-                           ("ln1_g", "ln1_b", "wq", "bq", "wk", "wv", "bv",
-                            "wo", "bo", "ln2_g", "ln2_b", "w1", "b1", "w2", "b2")})
+        layers = [{key: self.params[f"{prefix}.l{i}.{key}"] for key in AFILM_LAYER_PARAMS}
+                  for i in range(self.config.transformer_layers)]
         return AfilmParams(layers=layers,
                            head_w=self.params[f"{prefix}.head_w"],
                            head_b=self.params[f"{prefix}.head_b"],
-                           heads=cfg.heads)
+                           heads=self.config.heads)
 
     # ---- forward ---------------------------------------------------------
 
@@ -350,10 +331,12 @@ def count_parameters(model):
 
 
 def run_patched(model, samples):
-    """Enhance an arbitrary-length signal patch by patch (overlap-discard).
+    """Enhance an arbitrary-length signal patch by patch.
 
-    The tail is zero-padded up to a full patch and trimmed after; returns an
-    array the same length as the input.
+    The signal is cut into back-to-back, non-overlapping windows of T0
+    samples; the last one is zero-padded to T0 and its output trimmed, so
+    the result has the input's length. Every window edge is a seam: the
+    model sees no context across it.
     """
     T0 = model.config.patch_length
     samples = np.asarray(samples)

@@ -102,9 +102,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def detach(self):
-        return Tensor(self.data)
-
     def item(self):
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
@@ -459,11 +456,3 @@ def max_pool_blocks(x, n_blocks):
         raise DivisibilityError(
             f"block count {n_blocks} does not divide time axis {T}")
     return x.reshape(n_blocks, T // n_blocks, C).max(axis=1)
-
-
-def grad_of(loss, params):
-    """Backpropagate a scalar loss and return gradients for `params`."""
-    if loss.data.size != 1:
-        raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
-    loss.backward()
-    return [p.grad for p in params]

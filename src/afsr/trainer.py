@@ -7,7 +7,7 @@ checkpoint replays the exact same step sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -152,20 +152,6 @@ class Checkpoint:
     meta: dict
 
 
-def _config_tensors(config):
-    return {
-        CFG_PREFIX + "depth": np.float32(config.depth),
-        CFG_PREFIX + "blocks": np.float32(config.blocks),
-        CFG_PREFIX + "transformer_layers": np.float32(config.transformer_layers),
-        CFG_PREFIX + "heads": np.float32(config.heads),
-        CFG_PREFIX + "ffn_hidden": np.float32(config.ffn_hidden),
-        CFG_PREFIX + "dropout_rate": np.float32(config.dropout_rate),
-        CFG_PREFIX + "upscale": np.float32(config.upscale),
-        CFG_PREFIX + "patch_length": np.float32(config.patch_length),
-        CFG_PREFIX + "width_mult": np.float32(config.width_mult),
-    }
-
-
 def save_checkpoint(path, model, state, epoch, seed):
     """Persist parameters, optimizer state, and run counters."""
     tensors = dict(model.state())
@@ -173,7 +159,8 @@ def save_checkpoint(path, model, state, epoch, seed):
         if name in state.m:
             tensors[OPT_M_PREFIX + name] = state.m[name]
             tensors[OPT_V_PREFIX + name] = state.v[name]
-    tensors.update(_config_tensors(model.config))
+    tensors.update({CFG_PREFIX + f.name: np.float32(getattr(model.config, f.name))
+                    for f in fields(ModelConfig)})
     tensors[META_PREFIX + "t"] = np.float32(state.t)
     tensors[META_PREFIX + "epoch"] = np.float32(epoch)
     tensors[META_PREFIX + "seed"] = np.float32(seed)
@@ -199,23 +186,14 @@ def load_checkpoint(path):
             cfg_vals[name[len(CFG_PREFIX):]] = float(arr)
         else:
             params[name] = arr
-    required = ("depth", "blocks", "transformer_layers", "heads", "ffn_hidden",
-                "dropout_rate", "upscale", "patch_length", "width_mult")
-    missing = [k for k in required if k not in cfg_vals]
+    model_fields = fields(ModelConfig)
+    missing = [f.name for f in model_fields if f.name not in cfg_vals]
     if missing:
         raise tensorio.ContainerFormatError(
             f"checkpoint lacks config entries: {missing}")
-    config = ModelConfig(
-        depth=int(cfg_vals["depth"]),
-        blocks=int(cfg_vals["blocks"]),
-        transformer_layers=int(cfg_vals["transformer_layers"]),
-        heads=int(cfg_vals["heads"]),
-        ffn_hidden=int(cfg_vals["ffn_hidden"]),
-        dropout_rate=cfg_vals["dropout_rate"],
-        upscale=int(cfg_vals["upscale"]),
-        patch_length=int(cfg_vals["patch_length"]),
-        width_mult=cfg_vals["width_mult"],
-    )
+    # every value is stored as float32; each field's default gives its type
+    config = ModelConfig(**{f.name: type(f.default)(cfg_vals[f.name])
+                            for f in model_fields})
     return Checkpoint(version=version, config=config, params=params,
                       opt_m=opt_m, opt_v=opt_v, meta=meta)
 

@@ -146,9 +146,43 @@ class TestTrainCommand:
     def test_unknown_config_key_exits_1(self, tmp_path, corpus):
         arch = self._prepare(tmp_path, corpus)
         cfgp = tmp_path / "bad.cfg"
-        cfgp.write_text("not_a_key = 1\n")
+        # the archive sets upscale and patch_length; lsd_* are eval options
+        for key in ("not_a_key", "lsd_frame", "lsd_hop", "upscale", "patch_length"):
+            cfgp.write_text(TINY_CONFIG + f"{key} = 7\n")
+            assert main(["train", "--data", arch, "--out", str(tmp_path / "run"),
+                         "--config", str(cfgp), "--epochs", "0"]) == 1, key
+
+    @pytest.mark.parametrize("key,value", [
+        ("depth", "0"), ("heads", "0"), ("blocks", "0"), ("ffn_hidden", "0"),
+        ("transformer_layers", "-1"), ("width_mult", "0"), ("width_mult", "-1"),
+        ("dropout_rate", "1.5"), ("dropout_rate", "1.0"), ("dropout_rate", "-0.1")])
+    def test_out_of_range_model_key_exits_2(self, tmp_path, corpus, capsys, key, value):
+        arch = self._prepare(tmp_path, corpus)
+        cfgp = tmp_path / "bad.cfg"
+        cfgp.write_text(TINY_CONFIG + f"{key} = {value}\n")
         assert main(["train", "--data", arch, "--out", str(tmp_path / "run"),
-                     "--config", str(cfgp)]) == 1
+                     "--config", str(cfgp), "--epochs", "0"]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_model_keys_round_trip_through_checkpoint(self, tmp_path, corpus):
+        from dataclasses import fields
+        from afsr.cli import ARCHIVE_KEYS
+        from afsr.model import ModelConfig
+        arch = self._prepare(tmp_path, corpus)
+        cfgp = tmp_path / "m.cfg"
+        cfgp.write_text(TINY_CONFIG)
+        values = parse_config_file(str(cfgp))
+        default = ModelConfig()
+        for f in fields(ModelConfig):
+            if f.name not in ARCHIVE_KEYS:
+                assert values[f.name] != getattr(default, f.name), f.name
+        out = str(tmp_path / "run")
+        assert main(["train", "--data", arch, "--out", out,
+                     "--config", str(cfgp), "--steps", "1"]) == 0
+        config = load_checkpoint(os.path.join(out, "checkpoint.afsr")).config
+        want = dict(values, upscale=2, patch_length=2048)
+        for f in fields(ModelConfig):
+            assert getattr(config, f.name) == want[f.name], f.name
 
     def test_seed_env_override(self, tmp_path, corpus, monkeypatch):
         import json

@@ -3,7 +3,7 @@ import pytest
 from scipy import signal as sps
 
 from afsr import dsp
-from afsr.dsp import (AudioSignal, IIRFilter, apply_iir, cubic_upsample,
+from afsr.dsp import (AudioSignal, IIRFilter, cubic_upsample,
                       design_cheby1_lowpass, downsample, extract_patches,
                       hann_window, stft_log_power)
 from afsr.metrics import snr
@@ -56,51 +56,6 @@ class TestChebyshevDesign:
     def test_unstable_filter_rejected(self):
         with pytest.raises(ValueError, match="unstable"):
             IIRFilter(b=[1.0], a=[1.0, -1.5])
-
-
-class TestApplyIIR:
-    def test_identity_filter(self, rng):
-        x = rng.normal(size=100)
-        out = apply_iir(IIRFilter([1.0], [1.0]), AudioSignal(x, 16000))
-        assert np.array_equal(out.samples, x)
-
-    def test_dc_converges_to_dc_gain(self):
-        filt = design_cheby1_lowpass(4, 0.05, 0.5)
-        x = np.ones(4000)
-        out = apply_iir(filt, AudioSignal(x, 16000))
-        dc_gain = np.sum(filt.b) / np.sum(filt.a)
-        assert abs(out.samples[-1] - dc_gain) < 1e-6
-
-    def test_matches_difference_equation(self, rng):
-        filt = design_cheby1_lowpass(3, 0.1, 0.3)
-        x = rng.normal(size=64)
-        out = apply_iir(filt, AudioSignal(x, 16000)).samples
-        # literal difference equation: a0 y[n] = sum b x - sum a y
-        b, a = filt.b, filt.a
-        y = np.zeros(64)
-        for n in range(64):
-            acc = 0.0
-            for i in range(len(b)):
-                if n - i >= 0:
-                    acc += b[i] * x[n - i]
-            for j in range(1, len(a)):
-                if n - j >= 0:
-                    acc -= a[j] * y[n - j]
-            y[n] = acc
-        assert np.allclose(out, y, atol=1e-10)
-
-    def test_time_invariance_interior(self, rng):
-        filt = design_cheby1_lowpass(4, 0.05, 0.4)
-        x = rng.normal(size=256)
-        shift = 10
-        shifted = np.concatenate([np.zeros(shift), x])
-        y1 = apply_iir(filt, AudioSignal(x, 16000)).samples
-        y2 = apply_iir(filt, AudioSignal(shifted, 16000)).samples
-        assert np.allclose(y2[shift:], y1, atol=1e-10)
-
-    def test_empty_signal_rejected(self):
-        with pytest.raises(ValueError):
-            apply_iir(IIRFilter([1.0], [1.0]), AudioSignal(np.zeros(0), 16000))
 
 
 class TestDownsample:

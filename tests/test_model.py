@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from afsr.model import (AfilmParams, Model, ModelConfig, afilm_layer,
-                        afilm_modulate, block_spec_down, block_spec_up,
-                        count_parameters, multi_head_attention, run_patched,
-                        subpixel_shuffle_1d, transformer_block)
+                        afilm_modulate, count_parameters, multi_head_attention,
+                        run_patched, subpixel_shuffle_1d, transformer_block)
 from afsr.tensor import (DivisibilityError, ShapeError, Tensor,
                          max_pool_blocks, softmax)
 from conftest import check_gradients
@@ -18,30 +17,43 @@ def tiny_config(**overrides):
     return ModelConfig(**base)
 
 
+def filter_table(cfg):
+    """(out channels, filter length) per level of the layer table."""
+    return {name: (cout, width) for name, cout, width, _, _ in cfg.layer_table()}
+
+
 class TestBlockSpecs:
+    """Rows of `ModelConfig.layer_table`, the single architecture table."""
+
     def test_down_table(self):
-        want = [(128, 65, 2), (256, 33, 2), (512, 17, 2), (512, 9, 2)]
-        for k, (nf, fl, st) in enumerate(want, start=1):
-            spec = block_spec_down(k, 4)
-            assert (spec.n_filters, spec.filter_length, spec.stride) == (nf, fl, st)
+        table = filter_table(ModelConfig())
+        want = [(128, 65), (256, 33), (512, 17), (512, 9)]
+        assert [table[f"down{k}"] for k in range(1, 5)] == want
+        assert table["bottleneck"] == (512, 9)
 
     def test_up_table_mirrors_down(self):
+        table = filter_table(ModelConfig())
+        want = [(1024, 9), (1024, 17), (512, 33), (256, 65)]
+        assert [table[f"up{k}"] for k in range(1, 5)] == want
         for k in range(1, 5):
-            up = block_spec_up(k, 4)
-            down = block_spec_down(4 - k + 1, 4)
-            assert up.n_filters == 2 * down.n_filters
-            assert up.filter_length == down.filter_length
-            assert up.stride == 1
+            cout, width = table[f"down{4 - k + 1}"]
+            assert table[f"up{k}"] == (2 * cout, width)
+        assert table["final"] == (2, 9)
 
     def test_filter_count_saturates(self):
-        assert block_spec_down(6, 8).n_filters == 512
-        assert block_spec_down(8, 8).filter_length == 9
+        table = filter_table(ModelConfig(depth=8))
+        assert table["down6"][0] == 512
+        assert table["down8"][1] == 9
+        assert table["bottleneck"] == (512, 9)
 
-    def test_index_bounds(self):
-        with pytest.raises(ValueError):
-            block_spec_down(0, 4)
-        with pytest.raises(ValueError):
-            block_spec_up(5, 4)
+    def test_build_order_and_channels_chain(self):
+        rows = ModelConfig().layer_table()
+        assert [r[0] for r in rows] == ["down1", "down2", "down3", "down4", "bottleneck",
+                                        "up1", "up2", "up3", "up4", "final"]
+        # in channels: 1 at the input, then the previous level's out channels
+        # (in the up path the shuffle halves them and the skip doubles them)
+        assert [r[3] for r in rows] == [1] + [r[1] for r in rows[:-1]]
+        assert [r[4] for r in rows] == [128, 256, 512, 512, 512, 512, 512, 256, 128, None]
 
 
 class TestConfig:

@@ -5,7 +5,7 @@ from conftest import check_gradients, finite_difference, max_rel_err
 
 from afsr.optim import AdamState, adam_step
 from afsr.tensor import (DivisibilityError, ShapeError, Tensor, concat,
-                         conv1d, dropout, grad_of, layer_norm,
+                         conv1d, dropout, layer_norm,
                          max_pool_blocks, no_grad, softmax)
 
 
@@ -173,19 +173,19 @@ class TestMaxPoolBlocks:
 class TestGradOf:
     def test_sum_gives_ones(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        (g,) = grad_of(x.sum(), [x])
-        assert np.allclose(g, 1.0)
+        x.sum().backward()
+        assert np.allclose(x.grad, 1.0)
 
     def test_quadratic_gives_x(self, rng):
         data = rng.normal(size=5)
         x = Tensor(data, requires_grad=True, dtype=np.float64)
-        (g,) = grad_of(((x * x) * 0.5).sum(), [x])
-        assert np.allclose(g, data, atol=1e-12)
+        ((x * x) * 0.5).sum().backward()
+        assert np.allclose(x.grad, data, atol=1e-12)
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(ShapeError):
-            grad_of(x * 2, [x])
+            (x * 2).backward()
 
 
 class TestGradientChecks:
