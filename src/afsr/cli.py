@@ -150,6 +150,8 @@ def cmd_train(args):
         train_cfg.max_steps = args.steps
     if args.seed is not None:
         train_cfg.seed = args.seed
+    model_cfg.validate()
+    train_cfg.validate()
     os.makedirs(args.output, exist_ok=True)
     write_manifest(args.output, "train", train_cfg.seed,
                    {"model": dataclasses.asdict(model_cfg),
@@ -168,7 +170,7 @@ def cmd_train(args):
     result = trainer.train(model, patches, train_cfg,
                            checkpoint_path=ckpt_path, log=log)
     trainer.save_checkpoint(ckpt_path, model, result.state,
-                            train_cfg.epochs, train_cfg.seed)
+                            result.epochs_completed, train_cfg.seed)
     with open(os.path.join(args.output, "loss.txt"), "w") as fh:
         fh.write("epoch,mean_loss\n")
         for line in loss_lines:

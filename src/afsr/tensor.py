@@ -5,6 +5,9 @@ on its output, and backward() replays the recorded graph in reverse
 topological order. float32 is the working precision for training and
 inference; float64 is used for gradient checking, where finite differences
 are otherwise unreliable.
+
+`layer_norm` and `softmax` are single graph nodes with closed-form
+backward, not compositions of the elementwise ops.
 """
 
 from __future__ import annotations
@@ -90,21 +93,6 @@ class Tensor:
             return other
         return Tensor(np.asarray(other, dtype=self.data.dtype))
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self):
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -157,14 +145,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        a = self
-
-        def backward(g):
-            a._accumulate(-g)
-
-        return Tensor._result(-a.data, (a,), backward)
-
     def __sub__(self, other):
         other = self._coerce(other)
         a, b = self, other
@@ -177,9 +157,6 @@ class Tensor:
                 b._accumulate(_unbroadcast(-g, b.data.shape))
 
         return Tensor._result(out_data, (a, b), backward)
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -195,22 +172,6 @@ class Tensor:
         return Tensor._result(out_data, (a, b), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
-        out_data = a.data / b.data
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-        return Tensor._result(out_data, (a, b), backward)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
 
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
@@ -251,33 +212,6 @@ class Tensor:
 
         def backward(g):
             a._accumulate(g * (a.data > 0))
-
-        return Tensor._result(out_data, (a,), backward)
-
-    def exp(self):
-        a = self
-        out_data = np.exp(a.data)
-
-        def backward(g):
-            a._accumulate(g * out_data)
-
-        return Tensor._result(out_data, (a,), backward)
-
-    def log(self):
-        a = self
-        out_data = np.log(a.data)
-
-        def backward(g):
-            a._accumulate(g / a.data)
-
-        return Tensor._result(out_data, (a,), backward)
-
-    def sqrt(self):
-        a = self
-        out_data = np.sqrt(a.data)
-
-        def backward(g):
-            a._accumulate(g * 0.5 / out_data)
 
         return Tensor._result(out_data, (a,), backward)
 
@@ -373,19 +307,36 @@ def concat(tensors, axis):
 
 def softmax(x, axis=-1):
     """Numerically stable softmax: slices along `axis` sum to one."""
-    shift = Tensor(x.data.max(axis=axis, keepdims=True))
-    e = (x - shift).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        x._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)))
+
+    return Tensor._result(y, (x,), backward)
 
 
 def layer_norm(x, gain, shift, eps=1e-5):
     """Normalize each row over the last axis to zero mean / unit variance,
     then apply the learned per-channel affine."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    normed = centered / (var + eps).sqrt()
-    return normed * gain + shift
+    inv_n = np.asarray(1.0 / x.data.shape[-1], dtype=x.data.dtype)
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
+    normed = centered / std
+
+    def backward(g):
+        if x.requires_grad:
+            gn = g * gain.data
+            x._accumulate((gn - gn.sum(axis=-1, keepdims=True) * inv_n
+                           - normed * ((gn * normed).sum(axis=-1, keepdims=True) * inv_n))
+                          / std)
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * normed, gain.data.shape))
+        if shift.requires_grad:
+            shift._accumulate(_unbroadcast(g, shift.data.shape))
+
+    return Tensor._result(normed * gain.data + shift.data, (x, gain, shift), backward)
 
 
 def dropout(x, rate, rng):

@@ -7,6 +7,8 @@ little-endian floats. Used for both checkpoints and patch archives.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -24,23 +26,39 @@ class ContainerVersionError(ValueError):
 
 
 def write_tensors(path, tensors, magic=CHECKPOINT_MAGIC, version=1):
-    """Write `tensors` (name -> array) to `path`; values stored as float32."""
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<II", version, len(tensors)))
-        for name, arr in tensors.items():
-            arr = np.asarray(arr, dtype="<f4")
-            encoded = name.encode("utf-8")
-            if len(encoded) > 0xFFFF:
-                raise ValueError(f"tensor name too long: {name!r}")
-            if arr.ndim > 255:
-                raise ValueError(f"tensor rank too large: {arr.ndim}")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(np.ascontiguousarray(arr).tobytes())
+    """Write `tensors` (name -> array) to `path`; values stored as float32.
+
+    Atomic: the container goes to a temporary file beside `path`, which
+    replaces `path` only once it is complete, so a failed or interrupted
+    write leaves any earlier file intact.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            _write_container(fh, tensors, magic, version)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _write_container(fh, tensors, magic, version):
+    fh.write(magic)
+    fh.write(struct.pack("<II", version, len(tensors)))
+    for name, arr in tensors.items():
+        arr = np.asarray(arr, dtype="<f4")
+        encoded = name.encode("utf-8")
+        if len(encoded) > 0xFFFF:
+            raise ValueError(f"tensor name too long: {name!r}")
+        if arr.ndim > 255:
+            raise ValueError(f"tensor rank too large: {arr.ndim}")
+        fh.write(struct.pack("<H", len(encoded)))
+        fh.write(encoded)
+        fh.write(struct.pack("<B", arr.ndim))
+        for d in arr.shape:
+            fh.write(struct.pack("<I", d))
+        fh.write(np.ascontiguousarray(arr).tobytes())
 
 
 def read_tensors(path, magic=CHECKPOINT_MAGIC, max_version=1):

@@ -39,12 +39,17 @@ class TrainConfig:
     checkpoint_every: int = 0     # epochs between checkpoints; 0 = only final
 
     def validate(self):
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be > 0, got {self.learning_rate}")
+        ranges = (("epochs", self.epochs >= 0, ">= 0"),
+                  ("batch_size", self.batch_size >= 1, ">= 1"),
+                  ("learning_rate", self.learning_rate > 0, "> 0"),
+                  ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+                  ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+                  ("eps", self.eps > 0, "> 0"),
+                  ("max_steps", self.max_steps >= 0, ">= 0"),
+                  ("checkpoint_every", self.checkpoint_every >= 0, ">= 0"))
+        for name, ok, bound in ranges:
+            if not ok:
+                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)}")
 
 
 def mse_loss(pred, target):
@@ -61,6 +66,7 @@ class TrainResult:
     epoch_losses: list = field(default_factory=list)
     step_losses: list = field(default_factory=list)
     steps: int = 0
+    epochs_completed: int = 0
     state: AdamState = None
 
 
@@ -100,8 +106,7 @@ def train(model, patches, cfg, state=None, start_epoch=0,
     state.beta1 = cfg.beta1
     state.beta2 = cfg.beta2
     state.eps = cfg.eps
-    result = TrainResult(state=state)
-    result.steps = state.t
+    result = TrainResult(steps=state.t, epochs_completed=start_epoch, state=state)
     bs = cfg.batch_size
     for epoch in range(start_epoch, cfg.epochs):
         rng = np.random.default_rng((cfg.seed, epoch))
@@ -131,11 +136,12 @@ def train(model, patches, cfg, state=None, start_epoch=0,
             result.epoch_losses.append(float(np.mean(epoch_losses)))
             if log is not None:
                 log(epoch, result.epoch_losses[-1])
+        if stop:
+            break
+        result.epochs_completed = epoch + 1
         if checkpoint_path is not None and cfg.checkpoint_every and \
                 (epoch + 1) % cfg.checkpoint_every == 0:
             save_checkpoint(checkpoint_path, model, state, epoch + 1, cfg.seed)
-        if stop:
-            break
     return result
 
 

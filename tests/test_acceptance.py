@@ -326,6 +326,7 @@ def make_harmonic_corpus(directory, n_clips=50, rate=16000, seed=42):
         wavio.write_wav(os.path.join(directory, f"clip{i:02d}.wav"), sig, rate)
 
 
+@pytest.mark.slow
 def test_criterion_7_learning(tmp_path):
     start = time.time()
     rate, r, T0 = 16000, 2, 2048

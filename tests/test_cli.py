@@ -163,6 +163,31 @@ class TestTrainCommand:
         assert main(["train", "--data", arch, "--out", str(tmp_path / "run"),
                      "--config", str(cfgp), "--epochs", "0"]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("max_steps", "-1"), ("checkpoint_every", "-1"), ("eps", "0"),
+        ("eps", "-1"), ("beta1", "1.0"), ("beta2", "-3")])
+    def test_out_of_range_train_key_exits_2(self, tmp_path, corpus, capsys, key, value):
+        arch = self._prepare(tmp_path, corpus)
+        cfgp = tmp_path / "bad.cfg"
+        cfgp.write_text(TINY_CONFIG + f"{key} = {value}\n")
+        assert main(["train", "--data", arch, "--out", str(tmp_path / "run"),
+                     "--config", str(cfgp), "--epochs", "2"]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_checkpoint_records_epochs_completed(self, tmp_path, corpus):
+        arch = self._prepare(tmp_path, corpus)
+        cfgp = tmp_path / "m.cfg"
+        # one batch holds the whole archive, so one epoch is one step
+        cfgp.write_text(TINY_CONFIG + "batch_size = 64\n")
+        out = str(tmp_path / "run")
+        assert main(["train", "--data", arch, "--out", out, "--config", str(cfgp),
+                     "--epochs", "5", "--steps", "2"]) == 0
+        ckpt = load_checkpoint(os.path.join(out, "checkpoint.afsr"))
+        assert ckpt.meta["t"] == 2
+        assert ckpt.meta["epoch"] == 2
 
     def test_model_keys_round_trip_through_checkpoint(self, tmp_path, corpus):
         from dataclasses import fields

@@ -383,6 +383,7 @@ class TestParameterCount:
 
 
 class TestModelGradients:
+    @pytest.mark.slow
     def test_full_model_finite_difference(self):
         cfg = tiny_config(patch_length=32, blocks=2)
         model = Model(cfg, seed=0, dtype=np.float64)

@@ -170,6 +170,29 @@ class TestMaxPoolBlocks:
             max_pool_blocks(Tensor(np.zeros((10, 2))), 3)
 
 
+def graph_nodes(out):
+    """Recorded nodes reachable from `out` (leaves record none)."""
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t._backward is not None:
+            seen.add(id(t))
+            stack.extend(t._prev)
+    return len(seen)
+
+
+class TestFusedOps:
+    def test_softmax_is_one_node(self, rng):
+        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        assert graph_nodes(softmax(x, axis=-1)) == 1
+
+    def test_layer_norm_is_one_node(self, rng):
+        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        g = Tensor(np.ones(5), requires_grad=True)
+        b = Tensor(np.zeros(5), requires_grad=True)
+        assert graph_nodes(layer_norm(x, g, b)) == 1
+
+
 class TestGradOf:
     def test_sum_gives_ones(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -239,6 +262,15 @@ class TestGradientChecks:
 
         def build(ts):
             return (ts[0].relu().reshape(3, 8).mean(axis=1) ** 2).sum()
+
+        check_gradients(build, [x])
+
+    def test_softmax_axis0_3d(self):
+        x = np.zeros((3, 2, 4))
+        w = np.arange(24.0).reshape(3, 2, 4)
+
+        def build(ts):
+            return (softmax(ts[0], axis=0) * w).sum()
 
         check_gradients(build, [x])
 

@@ -151,6 +151,17 @@ class TestCheckpointing:
         with pytest.raises(tensorio.ContainerFormatError, match="config"):
             load_checkpoint(str(tmp_path / "ck.bin"))
 
+    def test_failed_overwrite_keeps_old_file(self, tmp_path):
+        model = Model(small_config(), seed=0)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(str(path), model, AdamState(), epoch=0, seed=0)
+        before = path.read_bytes()
+        bad = {"a": np.zeros(3), "x" * 0x10000: np.zeros(1)}
+        with pytest.raises(ValueError, match="name too long"):
+            tensorio.write_tensors(str(path), bad)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
+
     def test_shape_mismatch_names_tensor(self, tmp_path):
         model = Model(small_config(), seed=0)
         path = str(tmp_path / "ck.bin")
@@ -191,3 +202,16 @@ class TestCheckpointing:
         train(model, make_patches(rng), cfg, checkpoint_path=path)
         ckpt = load_checkpoint(path)
         assert ckpt.meta["epoch"] == 2.0
+
+    def test_step_cap_mid_epoch_counts_completed_epochs(self, tmp_path, rng):
+        model = Model(small_config(), seed=0)
+        path = str(tmp_path / "period.bin")
+        # two batches per epoch; the third step stops inside epoch 1
+        cfg = TrainConfig(epochs=3, batch_size=4, seed=1, checkpoint_every=1,
+                          max_steps=3)
+        result = train(model, make_patches(rng), cfg, checkpoint_path=path)
+        assert result.steps == 3
+        assert result.epochs_completed == 1
+        ckpt = load_checkpoint(path)
+        assert ckpt.meta["epoch"] == 1.0
+        assert ckpt.meta["t"] == 2.0
