@@ -1,7 +1,8 @@
 """Command-line entry point: prepare / train / eval / infer / spectrogram.
 
-Exit codes: 0 success, 1 usage or config error, 2 data error, 3 numeric
-abort. The environment variable AFSR_SEED overrides the configured seed.
+Exit codes: 0 success; 1 usage error, unknown config key or unparsable
+config value; 2 data error or out-of-range config value; 3 numeric abort.
+The environment variable AFSR_SEED overrides the configured seed.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,12 +25,16 @@ def adam_step(params, grads, state):
     """Apply one bias-corrected Adam update in place.
 
     `params` maps names to Tensors, `grads` maps the same names to gradient
-    arrays. Moment buffers are created lazily on first use.
+    arrays. Moment buffers are created lazily on first use. Each parameter
+    needs one scratch array of its own size, and the arithmetic stays in
+    the parameter's dtype.
     """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
+    # the bias corrections fold into two scalars:
+    # p -= (lr / c1) * m / (sqrt(v) / sqrt(c2) + eps)
+    step = state.learning_rate / (1.0 - b1 ** state.t)
+    inv_sqrt_c2 = 1.0 / math.sqrt(1.0 - b2 ** state.t)
     for name, p in params.items():
         g = grads[name]
         if g is None:
@@ -44,11 +49,17 @@ def adam_step(params, grads, state):
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
+        buf = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += buf
+        np.multiply(g, g, out=buf)
+        buf *= 1.0 - b2
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / c1
-        v_hat = v / c2
-        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        v += buf
+        np.sqrt(v, out=buf)
+        buf *= inv_sqrt_c2
+        buf += state.eps
+        np.divide(m, buf, out=buf)
+        buf *= step
+        p.data -= buf
     return params, state

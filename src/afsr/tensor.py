@@ -4,7 +4,8 @@ numpy-backed and define-by-run: every operation records a backward closure
 on its output, and backward() replays the recorded graph in reverse
 topological order. float32 is the working precision for training and
 inference; float64 is used for gradient checking, where finite differences
-are otherwise unreliable.
+are otherwise unreliable. A node's gradient always has its data's dtype, so
+a float32 graph runs its backward in float32 too.
 
 `layer_norm` and `softmax` are single graph nodes with closed-form
 backward, not compositions of the elementwise ops.
@@ -105,6 +106,10 @@ class Tensor:
             self.grad = self.grad + g
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into the `grad` of every leaf that
+        requires it. This uses the graph up: each interior node drops its
+        gradient, closure and inputs once it has passed its gradient on, so
+        a second backward() through the same graph has nothing to replay."""
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.data.shape}")
         # iterative topological sort; recursion would overflow on deep graphs
@@ -124,9 +129,15 @@ class Tensor:
                 if id(p) not in visited and p.requires_grad:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = None
+            node._prev = ()
 
     # ---- arithmetic ------------------------------------------------------
 
@@ -241,7 +252,7 @@ class Tensor:
         def backward(g):
             expanded = out_data if keepdims else np.expand_dims(out_data, axis)
             mask = (a.data == expanded)
-            counts = mask.sum(axis=axis, keepdims=True)
+            counts = mask.sum(axis=axis, keepdims=True, dtype=a.data.dtype)
             gg = g if keepdims else np.expand_dims(g, axis)
             a._accumulate(mask * (gg / counts))
 
@@ -348,6 +359,17 @@ def dropout(x, rate, rng):
     return x * mask
 
 
+def _im2col(x, width, stride):
+    """The zero-padded "same" windows of (T, Cin) as rows of an
+    (ceil(T / stride), width * Cin) matrix, tap-major within each row."""
+    T, cin = x.shape
+    pad = width // 2
+    xp = np.zeros((T + 2 * pad, cin), dtype=x.dtype)
+    xp[pad:pad + T] = x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, width, axis=0)[::stride]  # (T', Cin, W)
+    return np.ascontiguousarray(windows.transpose(0, 2, 1)).reshape(windows.shape[0], width * cin)
+
+
 def conv1d(x, kernels, bias, stride=1):
     """1-D convolution over (T, Cin) with kernels (Cout, W, Cin).
 
@@ -371,25 +393,22 @@ def conv1d(x, kernels, bias, stride=1):
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
 
-    pad = width // 2
-    xp = np.zeros((T + 2 * pad, cin), dtype=x.data.dtype)
-    xp[pad:pad + T] = x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, width, axis=0)  # (T, Cin, W)
-    windows = windows[::stride]
-    t_out = windows.shape[0]
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 1)).reshape(t_out, width * cin)
     kmat = kernels.data.reshape(cout, width * cin).T
-    out_data = cols @ kmat + bias.data
+    out_data = _im2col(x.data, width, stride) @ kmat + bias.data
+    t_out = out_data.shape[0]
 
     def backward(g):
         if bias.requires_grad:
             bias._accumulate(g.sum(axis=0))
         if kernels.requires_grad:
-            gk = (cols.T @ g).T.reshape(cout, width, cin)
+            # rebuilt rather than kept from forward: the buffer is W / stride
+            # times the input's size, and only this product needs it
+            gk = (_im2col(x.data, width, stride).T @ g).T.reshape(cout, width, cin)
             kernels._accumulate(gk)
         if x.requires_grad:
             gcols = (g @ kmat.T).reshape(t_out, width, cin)
-            gxp = np.zeros_like(xp)
+            pad = width // 2
+            gxp = np.zeros((T + 2 * pad, cin), dtype=x.data.dtype)
             for w in range(width):
                 gxp[w:w + (t_out - 1) * stride + 1:stride] += gcols[:, w, :]
             x._accumulate(gxp[pad:pad + T])

@@ -119,13 +119,15 @@ def train(model, patches, cfg, state=None, start_epoch=0,
                 break
             idx = order[start:start + bs]
             drop_rng = np.random.default_rng((cfg.seed, epoch, bi))
+            # free the last step's gradients before the new graph is built;
+            # after the final step they stay on the parameters
+            model.zero_grad()
             loss = batch_loss(model, patches.lo[idx], patches.hi[idx],
                               train=True, dropout_rng=drop_rng)
             value = float(loss.data.reshape(-1)[0])
             if not np.isfinite(value):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {bi}")
-            model.zero_grad()
             loss.backward()
             grads = {name: p.grad for name, p in model.params.items()}
             adam_step(model.params, grads, state)

@@ -169,6 +169,11 @@ class TestMaxPoolBlocks:
         with pytest.raises(DivisibilityError):
             max_pool_blocks(Tensor(np.zeros((10, 2))), 3)
 
+    def test_float32_gradient_stays_float32(self, rng):
+        x = Tensor(rng.normal(size=(12, 3)), requires_grad=True, dtype=np.float32)
+        max_pool_blocks(x, 3).sum().backward()
+        assert x.grad.dtype == np.float32
+
 
 def graph_nodes(out):
     """Recorded nodes reachable from `out` (leaves record none)."""
@@ -209,6 +214,20 @@ class TestGradOf:
         x = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(ShapeError):
             (x * 2).backward()
+
+    def test_backward_uses_up_the_graph(self, rng):
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True, dtype=np.float64)
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True, dtype=np.float64)
+        h = (x @ w).relu()
+        loss = (h * h).sum()
+        loss.backward()
+        for node in (h, loss):
+            assert node.grad is None
+            assert node._backward is None
+            assert node._prev == ()
+        # the leaves keep their gradients: d/dw sum(relu(xw)^2) = x^T 2 relu(xw)
+        assert np.allclose(w.grad, x.data.T @ (2 * h.data))
+        assert np.allclose(x.grad, (2 * h.data) @ w.data.T)
 
 
 class TestGradientChecks:
@@ -302,26 +321,45 @@ class TestAdam:
             adam_step({"p": p}, {"p": g}, state)
         assert p.data[0] < 0 and p.data[1] > 0
 
-    def test_matches_hand_rolled_oracle(self, rng):
-        data = rng.normal(size=2)
-        p = Tensor(data.copy(), requires_grad=True, dtype=np.float64)
-        state = AdamState(learning_rate=0.1)
-        grads = [rng.normal(size=2) for _ in range(3)]
-
-        # transcribed update, element by element
-        ref = data.copy()
-        m = np.zeros(2)
-        v = np.zeros(2)
+    @staticmethod
+    def hand_rolled(data, grads):
+        """The textbook update at lr 0.1, transcribed in float64."""
+        ref = np.array(data, dtype=np.float64)
+        m = np.zeros_like(ref)
+        v = np.zeros_like(ref)
         for t, g in enumerate(grads, start=1):
+            g = np.asarray(g, dtype=np.float64)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             mh = m / (1 - 0.9 ** t)
             vh = v / (1 - 0.999 ** t)
             ref -= 0.1 * mh / (np.sqrt(vh) + 1e-8)
+        return ref
+
+    def test_matches_hand_rolled_oracle(self, rng):
+        data = rng.normal(size=2)
+        p = Tensor(data.copy(), requires_grad=True, dtype=np.float64)
+        state = AdamState(learning_rate=0.1)
+        grads = [rng.normal(size=2) for _ in range(3)]
+        ref = self.hand_rolled(data, grads)
 
         for g in grads:
             adam_step({"p": p}, {"p": g}, state)
         assert np.allclose(p.data, ref, atol=1e-10)
+
+    def test_float32_matches_hand_rolled_oracle(self, rng):
+        data = rng.normal(size=64).astype(np.float32)
+        p = Tensor(data.copy(), requires_grad=True)
+        state = AdamState(learning_rate=0.1)
+        grads = [rng.normal(size=64).astype(np.float32) for _ in range(3)]
+        ref = self.hand_rolled(data, grads)
+
+        for g in grads:
+            adam_step({"p": p}, {"p": g}, state)
+        assert p.data.dtype == state.m["p"].dtype == state.v["p"].dtype == np.float32
+        # a few float32 ulps of the larger of the parameter and the step size
+        ulp = np.spacing(np.maximum(np.abs(ref), 0.1).astype(np.float32)).astype(np.float64)
+        assert np.all(np.abs(p.data - ref) <= 4 * ulp)
 
 
 class TestDeterminism:

@@ -7,7 +7,7 @@ from afsr.model import Model, ModelConfig
 from afsr.optim import AdamState
 from afsr.tensor import ShapeError, Tensor
 from afsr.trainer import (Checkpoint, TrainConfig, TrainingDiverged,
-                          load_checkpoint, mse_loss, restore_model,
+                          batch_loss, load_checkpoint, mse_loss, restore_model,
                           restore_state, save_checkpoint, train)
 
 
@@ -44,7 +44,37 @@ class TestMseLoss:
             mse_loss(Tensor(np.zeros((3, 1))), Tensor(np.zeros((4, 1))))
 
 
+class TestBatchLoss:
+    def test_float32_model_gets_float32_gradients(self, rng):
+        # the benchmark's desk model: its AFiLM max-pools and wide convs are
+        # where a float64 gradient used to appear
+        cfg = ModelConfig(depth=2, blocks=16, transformer_layers=1, heads=2,
+                          ffn_hidden=64, dropout_rate=0.0, patch_length=2048,
+                          width_mult=0.25)
+        model = Model(cfg, seed=0)
+        patches = make_patches(rng, n=2, length=2048)
+        batch_loss(model, patches.lo, patches.hi).backward()
+        wrong = {name: p.grad.dtype for name, p in model.params.items()
+                 if p.grad.dtype != np.float32}
+        assert not wrong
+
+
 class TestTrainLoop:
+    def test_last_step_gradients_stay_on_parameters(self, rng):
+        patches = make_patches(rng)
+        model = Model(small_config(), seed=0)
+        train(model, patches, TrainConfig(epochs=2, batch_size=8, seed=3))
+        # replay: the first step, then the gradient of the second by hand
+        ref = Model(small_config(), seed=0)
+        train(ref, patches, TrainConfig(epochs=1, batch_size=8, seed=3))
+        order = np.random.default_rng((3, 1)).permutation(len(patches))
+        ref.zero_grad()
+        batch_loss(ref, patches.lo[order], patches.hi[order], train=True,
+                   dropout_rng=np.random.default_rng((3, 1, 0))).backward()
+        for name, p in model.params.items():
+            assert p.grad is not None, name
+            assert np.array_equal(p.grad, ref.params[name].grad), name
+
     def test_loss_decreases(self, rng):
         model = Model(small_config(), seed=0)
         patches = make_patches(rng)
