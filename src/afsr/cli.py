@@ -113,15 +113,11 @@ def cmd_prepare(args):
     for i, name in enumerate(names):
         path = os.path.join(args.input, name)
         try:
-            samples, rate = wavio.read_wav(path)
-            sig = dsp.AudioSignal(samples, rate)
-            lo = dsp.downsample(sig, args.scale)
-            lo_up = dsp.cubic_upsample(lo, args.scale)
-            hi = dsp.AudioSignal(sig.samples[:len(lo_up)], rate)
+            lo_up, hi = dsp.degrade(dsp.AudioSignal(*wavio.read_wav(path)), args.scale)
             sets.append(dsp.extract_patches(lo_up, hi, length=args.patch,
                                             stride=stride, file_index=i,
                                             scale=args.scale))
-        except (ValueError, OSError, wavio.wave.Error) as exc:
+        except (ValueError, OSError) as exc:
             print(f"prepare: skipping {name}: {exc}", file=sys.stderr)
     if not any(len(s) for s in sets):
         print("prepare: no patches produced (empty or unusable input)",
@@ -196,14 +192,11 @@ def cmd_eval(args):
     names = _list_wavs(args.data)
     files = [os.path.join(args.data, n) for n in names]
     dataset = os.path.basename(os.path.normpath(args.data))
-    frame, hop = args.frame, args.hop
-    model_rep = metrics.evaluate_corpus(model, files, args.scale,
-                                        dataset=dataset, frame=frame, hop=hop)
-    base_rep = metrics.bicubic_baseline(files, args.scale, dataset=dataset,
-                                        frame=frame, hop=hop)
-    for path, reason in model_rep.skipped:
+    reports = metrics.evaluate_corpus(model, files, args.scale, dataset=dataset,
+                                      frame=args.frame, hop=args.hop)
+    for path, reason in reports[0].skipped:
         print(f"eval: skipped {path}: {reason}", file=sys.stderr)
-    csv = metrics.report_csv([model_rep, base_rep])
+    csv = metrics.report_csv(reports)
     sys.stdout.write(csv)
     if args.out:
         with open(args.out, "w") as fh:

@@ -111,6 +111,17 @@ def cubic_upsample(sig, r):
     return AudioSignal(out, sig.sample_rate_hz * r)
 
 
+def degrade(sig, r):
+    """The full-signal protocol of Kuleshov et al. 2017: downsample by r,
+    cubic-upsample back, and trim the source to the same length.
+
+    Returns (lo_up, hi), sample-aligned and both at the source rate.
+    """
+    lo_up = cubic_upsample(downsample(sig, r), r).samples
+    return (AudioSignal(lo_up, sig.sample_rate_hz),
+            AudioSignal(sig.samples[:len(lo_up)], sig.sample_rate_hz))
+
+
 def extract_patches(lowres_upsampled, highres, length=8192, stride=None,
                     file_index=0, scale=0):
     """Cut aligned fixed-length windows; the trailing remainder is dropped."""
@@ -128,13 +139,15 @@ def extract_patches(lowres_upsampled, highres, length=8192, stride=None,
         raise ValueError("patch length and stride must be positive")
     n = len(highres)
     offsets = list(range(0, n - length + 1, stride))
-    lo = np.stack([lowres_upsampled.samples[o:o + length] for o in offsets]) \
-        if offsets else np.zeros((0, length))
-    hi = np.stack([highres.samples[o:o + length] for o in offsets]) \
-        if offsets else np.zeros((0, length))
+    # filled in place: no float64 copy of the windows
+    lo = np.empty((len(offsets), length), dtype=np.float32)
+    hi = np.empty((len(offsets), length), dtype=np.float32)
+    for i, o in enumerate(offsets):
+        lo[i] = lowres_upsampled.samples[o:o + length]
+        hi[i] = highres.samples[o:o + length]
     return PatchSet(
-        lo=lo.astype(np.float32),
-        hi=hi.astype(np.float32),
+        lo=lo,
+        hi=hi,
         file_index=np.full(len(offsets), file_index, dtype=np.int64),
         offset=np.asarray(offsets, dtype=np.int64),
         patch_length=length,

@@ -1,4 +1,8 @@
-"""Signal-to-noise ratio and log-spectral distance scoring."""
+"""Signal-to-noise ratio and log-spectral distance scoring.
+
+Corpus evaluation reads and degrades each file once and scores it twice:
+the model's reconstruction and plain cubic-spline upsampling.
+"""
 
 from __future__ import annotations
 
@@ -58,12 +62,11 @@ class EvalReport:
     scale: int
     dataset: str
     items: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)  # (file_id, reason)
-    infinite_snr_count: int = 0
+    skipped: list = field(default_factory=list)  # (path, reason)
 
     def aggregate(self):
         """Mean SNR/LSD over items; infinite-SNR items are excluded from the
-        SNR mean (their count is tracked separately)."""
+        SNR mean but still counted in `count`."""
         if not self.items:
             return {"count": 0, "snr_db": None, "lsd": None}
         finite = [it.snr_db for it in self.items if math.isfinite(it.snr_db)]
@@ -81,53 +84,36 @@ def score_pair(recon, reference, scale, file_id, frame=2048, hop=512):
     return item
 
 
-def evaluate_corpus(model, files, r, dataset="corpus", method="model",
-                    frame=2048, hop=512):
-    """Score a model over WAV files: downsample by r, cubic-upsample, run the
-    model patch-wise, compare against the original.
+def evaluate_corpus(model, files, r, dataset="corpus", frame=2048, hop=512):
+    """Score a model and plain cubic-spline upsampling over WAV files.
 
-    Unreadable files are recorded in `report.skipped`, never silently
+    Each file is read and degraded once (`dsp.degrade`), and both
+    reconstructions are scored against the same reference. Returns (model
+    report, bicubic report), or (bicubic report,) when `model` is None. A file
+    that fails is recorded in each report's `skipped`, never silently
     dropped. Files are processed in sorted order for determinism.
     """
-    report = EvalReport(method=method, scale=r, dataset=dataset)
+    reports = ([EvalReport("model", r, dataset)] if model is not None else []) \
+        + [EvalReport("bicubic", r, dataset)]
     for path in sorted(str(f) for f in files):
         try:
-            samples, rate = wavio.read_wav(path)
-            sig = dsp.AudioSignal(samples, rate)
-            lo = dsp.downsample(sig, r)
-            lo_up = dsp.cubic_upsample(lo, r)
-            ref = sig.samples[:len(lo_up)]
-            recon = model_mod.run_patched(model, lo_up.samples)
-            item = score_pair(recon, ref, r, os.path.basename(path),
-                              frame=frame, hop=hop)
-        except (OSError, ValueError, wavio.wave.Error) as exc:
-            report.skipped.append((path, str(exc)))
+            lo_up, hi = dsp.degrade(dsp.AudioSignal(*wavio.read_wav(path)), r)
+            recons = ([model_mod.run_patched(model, lo_up.samples)]
+                      if model is not None else []) + [lo_up.samples]
+            items = [score_pair(x, hi.samples, r, os.path.basename(path),
+                                frame=frame, hop=hop) for x in recons]
+        except (OSError, ValueError) as exc:
+            for rep in reports:
+                rep.skipped.append((path, str(exc)))
             continue
-        if math.isinf(item.snr_db):
-            report.infinite_snr_count += 1
-        report.items.append(item)
-    return report
+        for rep, item in zip(reports, items):
+            rep.items.append(item)
+    return tuple(reports)
 
 
 def bicubic_baseline(files, r, dataset="corpus", frame=2048, hop=512):
     """Score plain cubic-spline upsampling (no model) on the same files."""
-    report = EvalReport(method="bicubic", scale=r, dataset=dataset)
-    for path in sorted(str(f) for f in files):
-        try:
-            samples, rate = wavio.read_wav(path)
-            sig = dsp.AudioSignal(samples, rate)
-            lo = dsp.downsample(sig, r)
-            lo_up = dsp.cubic_upsample(lo, r)
-            ref = sig.samples[:len(lo_up)]
-            item = score_pair(lo_up.samples, ref, r, os.path.basename(path),
-                              frame=frame, hop=hop)
-        except (OSError, ValueError, wavio.wave.Error) as exc:
-            report.skipped.append((path, str(exc)))
-            continue
-        if math.isinf(item.snr_db):
-            report.infinite_snr_count += 1
-        report.items.append(item)
-    return report
+    return evaluate_corpus(None, files, r, dataset, frame, hop)[-1]
 
 
 def report_csv(reports):

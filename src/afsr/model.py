@@ -241,9 +241,6 @@ class Model:
 
     # ---- parameter access ------------------------------------------------
 
-    def parameters(self):
-        return self.params
-
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
@@ -326,8 +323,7 @@ class Model:
 
 def count_parameters(model):
     """Total element count over all trainable tensors."""
-    params = model.parameters() if hasattr(model, "parameters") else model
-    return sum(int(p.data.size) for p in params.values())
+    return sum(int(p.data.size) for p in model.params.values())
 
 
 def run_patched(model, samples):

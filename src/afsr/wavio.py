@@ -12,15 +12,23 @@ import numpy as np
 
 
 def read_wav(path):
-    """Read a PCM-16 WAV file; returns (samples float64 in [-1, 1), rate)."""
-    with wave.open(str(path), "rb") as wf:
-        if wf.getsampwidth() != 2:
-            raise ValueError(
-                f"{path}: only 16-bit PCM is supported, "
-                f"got sample width {wf.getsampwidth()} bytes")
-        n_channels = wf.getnchannels()
-        rate = wf.getframerate()
-        raw = wf.readframes(wf.getnframes())
+    """Read a PCM-16 WAV file; returns (samples float64 in [-1, 1), rate).
+
+    A file that is not a WAV, or is cut off inside its header, raises
+    ValueError naming the path.
+    """
+    try:
+        with wave.open(str(path), "rb") as wf:
+            if wf.getsampwidth() != 2:
+                raise ValueError(
+                    f"{path}: only 16-bit PCM is supported, "
+                    f"got sample width {wf.getsampwidth()} bytes")
+            n_channels = wf.getnchannels()
+            rate = wf.getframerate()
+            raw = wf.readframes(wf.getnframes())
+    except (wave.Error, EOFError) as exc:
+        raise ValueError(
+            f"{path}: malformed WAV file: {str(exc) or 'truncated header'}") from exc
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if n_channels > 1:
         data = data.reshape(-1, n_channels).mean(axis=1)

@@ -27,6 +27,15 @@ batch_size = 4
 """
 
 
+def write_truncated_wav(path):
+    """A WAV cut off inside its header."""
+    write_tone(path)
+    with open(path, "rb") as fh:
+        head = fh.read(20)
+    with open(path, "wb") as fh:
+        fh.write(head)
+
+
 @pytest.fixture
 def corpus(tmp_path):
     d = tmp_path / "wavs"
@@ -87,6 +96,28 @@ class TestPrepare:
 
     def test_missing_directory_exits_2(self, tmp_path):
         assert prepare(str(tmp_path / "nope"), str(tmp_path / "out")) == 2
+
+    def test_truncated_wav_is_skipped(self, tmp_path, capsys):
+        d = tmp_path / "wavs"
+        d.mkdir()
+        write_tone(str(d / "good.wav"), 500.0)
+        write_truncated_wav(str(d / "cut.wav"))
+        out = str(tmp_path / "out")
+        assert prepare(str(d), out) == 0
+        assert "skipping cut.wav" in capsys.readouterr().err
+        patches = archive.read_patch_archive(os.path.join(out, "patches.afsp"))
+        assert len(patches) == 7  # good.wav alone: (16000 - 2048) // 2048 + 1
+
+    def test_scale_3_keeps_16khz_clip(self, tmp_path):
+        d = tmp_path / "one"
+        d.mkdir()
+        write_tone(str(d / "clip.wav"), 500.0, seconds=1.0)
+        out = str(tmp_path / "out")
+        assert main(["prepare", "--in", str(d), "--out", out,
+                     "--scale", "3", "--patch", "2048", "--stride", "2048"]) == 0
+        patches = archive.read_patch_archive(os.path.join(out, "patches.afsp"))
+        assert len(patches) > 0
+        assert (patches.sample_rate_hz, patches.scale) == (16000, 3)
 
     def test_rerun_byte_identical(self, tmp_path, corpus):
         out1 = str(tmp_path / "o1")
@@ -249,6 +280,40 @@ class TestEvalCommand:
         assert lines[4].startswith("model,2,wavs,mean[3],")
         assert lines[8].startswith("bicubic,2,wavs,mean[3],")
 
+    def test_truncated_wav_skipped_once(self, tmp_path, corpus, trained_run, capsys):
+        write_truncated_wav(os.path.join(corpus, "cut.wav"))
+        out_csv = str(tmp_path / "scores.csv")
+        assert main(["eval", "--ckpt", trained_run, "--data", corpus,
+                     "--scale", "2", "--out", out_csv,
+                     "--frame", "512", "--hop", "256"]) == 0
+        skipped = [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("eval: skipped")]
+        assert len(skipped) == 1 and "cut.wav" in skipped[0]
+        lines = open(out_csv).read().strip().split("\n")
+        assert lines[4].startswith("model,2,wavs,mean[3],")
+        assert lines[8].startswith("bicubic,2,wavs,mean[3],")
+
+    def test_each_file_read_and_degraded_once(self, corpus, trained_run,
+                                              monkeypatch, capsys):
+        from afsr import dsp
+        calls = {}
+
+        def counting(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(wavio, "read_wav")
+        counting(dsp, "downsample")
+        counting(dsp, "cubic_upsample")
+        assert main(["eval", "--ckpt", trained_run, "--data", corpus,
+                     "--scale", "2", "--frame", "512", "--hop", "256"]) == 0
+        capsys.readouterr()
+        assert calls == {"read_wav": 3, "downsample": 3, "cubic_upsample": 3}
+
     def test_scale_mismatch_exits_2(self, tmp_path, corpus, trained_run):
         assert main(["eval", "--ckpt", trained_run, "--data", corpus,
                      "--scale", "4"]) == 2
@@ -284,6 +349,12 @@ class TestInferCommand:
                      "--in", str(tmp_path / "no.wav"),
                      "--out", str(tmp_path / "o.wav"), "--scale", "2"]) == 2
 
+    def test_not_a_wav_exits_2(self, tmp_path, trained_run):
+        src = tmp_path / "text.wav"
+        src.write_bytes(b"not a wav file")
+        assert main(["infer", "--ckpt", trained_run, "--in", str(src),
+                     "--out", str(tmp_path / "o.wav"), "--scale", "2"]) == 2
+
 
 class TestSpectrogramCommand:
     def test_csv_dominant_bin(self, tmp_path):
@@ -312,6 +383,12 @@ class TestSpectrogramCommand:
         wavio.write_wav(src, np.zeros(100), 16000)
         assert main(["spectrogram", "--in", src,
                      "--out", str(tmp_path / "s.csv"), "--frame", "256"]) == 2
+
+    def test_not_a_wav_exits_2(self, tmp_path):
+        src = tmp_path / "text.wav"
+        src.write_bytes(b"not a wav file")
+        assert main(["spectrogram", "--in", str(src),
+                     "--out", str(tmp_path / "s.csv")]) == 2
 
 
 class TestExitCodes:

@@ -152,6 +152,12 @@ class TestExtractPatches:
         x = AudioSignal(rng.normal(size=8192) * 0.1, 16000)
         ps = extract_patches(x, x, length=8192, stride=8192)
         assert len(ps) == 1
+        assert ps.lo.dtype == ps.hi.dtype == np.float32
+
+    def test_signal_shorter_than_patch_gives_none(self, rng):
+        x = AudioSignal(rng.normal(size=8191) * 0.1, 16000)
+        ps = extract_patches(x, x, length=8192)
+        assert ps.lo.shape == ps.hi.shape == (0, 8192)
 
     def test_window_count(self, rng):
         x = AudioSignal(rng.normal(size=16384) * 0.1, 16000)
@@ -236,3 +242,11 @@ class TestRoundTrip:
         lo = downsample(x, r)
         up = cubic_upsample(lo, r)
         assert snr(up.samples, sig[:len(up)]) >= 20.0
+
+    def test_degrade_is_aligned_at_the_source_rate(self, rng):
+        x = AudioSignal(rng.normal(size=16000) * 0.1, 16000)
+        lo_up, hi = dsp.degrade(x, 3)
+        assert len(lo_up) == len(hi) == 15999
+        assert lo_up.sample_rate_hz == hi.sample_rate_hz == 16000
+        assert np.array_equal(lo_up.samples, cubic_upsample(downsample(x, 3), 3).samples)
+        assert np.array_equal(hi.samples, x.samples[:15999])

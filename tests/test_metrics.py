@@ -124,8 +124,8 @@ class TestCorpusEvaluation:
             write_tone(p, f)
             files.append(p)
         model = tiny_model()
-        rep_model = evaluate_corpus(model, files, 2)
-        rep_base = bicubic_baseline(files, 2)
+        rep_model, rep_base = evaluate_corpus(model, files, 2)
+        assert (rep_model.method, rep_base.method) == ("model", "bicubic")
         assert len(rep_model.items) == 2
         for a, b in zip(rep_model.items, rep_base.items):
             assert a.file_id == b.file_id
@@ -139,15 +139,15 @@ class TestCorpusEvaluation:
         bad = str(tmp_path / "bad.wav")
         with open(bad, "wb") as fh:
             fh.write(b"not a wav file")
-        rep = evaluate_corpus(tiny_model(), [good, bad], 2)
-        assert len(rep.items) == 1
-        assert len(rep.skipped) == 1
-        assert rep.skipped[0][0].endswith("bad.wav")
+        for rep in evaluate_corpus(tiny_model(), [good, bad], 2):
+            assert len(rep.items) == 1
+            assert len(rep.skipped) == 1
+            assert rep.skipped[0][0].endswith("bad.wav")
 
     def test_empty_file_list(self):
-        rep = evaluate_corpus(tiny_model(), [], 2)
-        assert rep.items == []
-        assert rep.aggregate() == {"count": 0, "snr_db": None, "lsd": None}
+        for rep in evaluate_corpus(tiny_model(), [], 2):
+            assert rep.items == []
+            assert rep.aggregate() == {"count": 0, "snr_db": None, "lsd": None}
 
     def test_sorted_order_and_basename_ids(self, tmp_path):
         pb = str(tmp_path / "b.wav")
@@ -163,7 +163,6 @@ class TestReport:
         rep = EvalReport(method="m", scale=2, dataset="d")
         rep.items = [EvalItem("a", 2, 10.0, 1.0),
                      EvalItem("b", 2, math.inf, 3.0)]
-        rep.infinite_snr_count = 1
         agg = rep.aggregate()
         assert agg["count"] == 2
         assert agg["snr_db"] == pytest.approx(10.0)
