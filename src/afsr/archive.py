@@ -22,7 +22,7 @@ def write_patch_archive(path, patches):
 
 
 def read_patch_archive(path):
-    _, tensors = tensorio.read_tensors(path, magic=tensorio.PATCH_MAGIC)
+    tensors = tensorio.read_tensors(path, magic=tensorio.PATCH_MAGIC)
     for key in ("lo", "hi", "file_index", "offset",
                 "meta.patch_length", "meta.sample_rate_hz", "meta.scale"):
         if key not in tensors:

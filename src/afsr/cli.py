@@ -1,8 +1,9 @@
 """Command-line entry point: prepare / train / eval / infer / spectrogram.
 
 Exit codes: 0 success; 1 usage error, unknown config key or unparsable
-config value; 2 data error or out-of-range config value; 3 numeric abort.
-The environment variable AFSR_SEED overrides the configured seed.
+config value; 2 data error or out-of-range config or flag value; 3
+numeric abort. The environment variable AFSR_SEED overrides the
+configured seed.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, archive, dsp, metrics, tensorio, trainer, wavio
+from . import __version__, archive, dsp, metrics, trainer, wavio
 from .model import Model, ModelConfig, count_parameters, run_patched
-from .tensor import DivisibilityError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,7 +102,17 @@ def _list_wavs(directory):
 # ---- commands ------------------------------------------------------------
 
 
+def _check_flags(args, ranges):
+    """Reject out-of-range flag values before any file is read or written."""
+    for flag, ok, bound in ranges:
+        if not ok:
+            raise DataError(f"--{flag} must be {bound}, got {getattr(args, flag)}")
+
+
 def cmd_prepare(args):
+    _check_flags(args, (("scale", args.scale >= 2, ">= 2"),
+                        ("patch", args.patch >= 2, ">= 2"),
+                        ("stride", args.stride >= 0, ">= 0 (0: half the patch)")))
     names = _list_wavs(args.input)
     stride = args.stride if args.stride else args.patch // 2
     os.makedirs(args.output, exist_ok=True)
@@ -176,19 +186,22 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _load_model(path):
+def _load_model(path, scale, verb):
+    """The checkpoint's model, which must have been trained for `scale`."""
     if not os.path.exists(path):
         raise DataError(f"checkpoint not found: {path}")
     ckpt = trainer.load_checkpoint(path)
-    return trainer.restore_model(ckpt), ckpt
+    if ckpt.config.upscale != scale:
+        raise DataError(
+            f"checkpoint was trained for scale {ckpt.config.upscale}, "
+            f"refusing to {verb} at scale {scale}")
+    return trainer.restore_model(ckpt)
 
 
 def cmd_eval(args):
-    model, ckpt = _load_model(args.ckpt)
-    if model.config.upscale != args.scale:
-        raise DataError(
-            f"checkpoint was trained for scale {model.config.upscale}, "
-            f"refusing to evaluate at scale {args.scale}")
+    _check_flags(args, (("frame", args.frame >= 1, ">= 1"),
+                        ("hop", args.hop >= 1, ">= 1")))
+    model = _load_model(args.ckpt, args.scale, "evaluate")
     names = _list_wavs(args.data)
     files = [os.path.join(args.data, n) for n in names]
     dataset = os.path.basename(os.path.normpath(args.data))
@@ -206,11 +219,7 @@ def cmd_eval(args):
 
 
 def cmd_infer(args):
-    model, ckpt = _load_model(args.ckpt)
-    if model.config.upscale != args.scale:
-        raise DataError(
-            f"checkpoint was trained for scale {model.config.upscale}, "
-            f"refusing to infer at scale {args.scale}")
+    model = _load_model(args.ckpt, args.scale, "infer")
     if not os.path.exists(args.input):
         raise DataError(f"input WAV not found: {args.input}")
     samples, rate = wavio.read_wav(args.input)
@@ -326,9 +335,7 @@ def main(argv=None):
     except trainer.TrainingDiverged as exc:
         print(f"afsr: numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, tensorio.ContainerFormatError,
-            tensorio.ContainerVersionError, DivisibilityError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"afsr: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -198,6 +198,7 @@ class Model:
         self.config = config
         self.dtype = np.dtype(dtype)
         self.params = {}
+        self.films = {}               # level name -> AfilmParams
         self._build(np.random.default_rng(seed))
 
     # ---- construction ----------------------------------------------------
@@ -215,26 +216,30 @@ class Model:
     def _add_afilm(self, rng, prefix, C):
         d = self.config.ffn_hidden
         shapes = {"w1": (C, d), "b1": (d,), "w2": (d, C)}
+        params = AfilmParams(heads=self.config.heads)
         for i in range(self.config.transformer_layers):
+            layer = {}
             for key in AFILM_LAYER_PARAMS:
                 if key[0] == "w":
                     shape = shapes.get(key, (C, C))
                     value = _glorot(rng, shape, *shape, self.dtype)
                 else:
                     value = np.full(shapes.get(key, (C,)), float(key.endswith("_g")))
-                self._param(f"{prefix}.l{i}.{key}", value)
+                layer[key] = self._param(f"{prefix}.l{i}.{key}", value)
+            params.layers.append(layer)
         # small weights + (1...1, 0...0) bias start near identity modulation
         # while still letting gradient reach the generator stack
-        self._param(f"{prefix}.head_w",
-                    0.01 * _glorot(rng, (C, 2 * C), C, 2 * C, self.dtype))
-        self._param(f"{prefix}.head_b",
-                    np.concatenate([np.ones(C), np.zeros(C)]).astype(self.dtype))
+        params.head_w = self._param(
+            f"{prefix}.head_w", 0.01 * _glorot(rng, (C, 2 * C), C, 2 * C, self.dtype))
+        params.head_b = self._param(
+            f"{prefix}.head_b", np.concatenate([np.ones(C), np.zeros(C)]).astype(self.dtype))
+        return params
 
     def _build(self, rng):
         for name, cout, width, cin, film_channels in self.config.layer_table():
             self._add_conv(rng, f"{name}.conv", cout, width, cin)
             if film_channels is not None:
-                self._add_afilm(rng, f"{name}.film", film_channels)
+                self.films[name] = self._add_afilm(rng, f"{name}.film", film_channels)
         # start the correction branch near zero so the initial model is
         # approximately the identity on its (already upsampled) input
         self.params["final.conv.w"].data *= 0.01
@@ -262,20 +267,11 @@ class Model:
     def force_identity_heads(self):
         """Pin every modulation head to gamma == 1, beta == 0 exactly, which
         reduces the network to the plain convolutional U-Net."""
-        C_by_prefix = {name.rsplit(".head_w", 1)[0]: p.data.shape[0]
-                       for name, p in self.params.items() if name.endswith(".head_w")}
-        for prefix, C in C_by_prefix.items():
-            self.params[f"{prefix}.head_w"].data[:] = 0
-            self.params[f"{prefix}.head_b"].data[:] = np.concatenate(
-                [np.ones(C), np.zeros(C)]).astype(self.dtype)
-
-    def _film(self, prefix):
-        layers = [{key: self.params[f"{prefix}.l{i}.{key}"] for key in AFILM_LAYER_PARAMS}
-                  for i in range(self.config.transformer_layers)]
-        return AfilmParams(layers=layers,
-                           head_w=self.params[f"{prefix}.head_w"],
-                           head_b=self.params[f"{prefix}.head_b"],
-                           heads=self.config.heads)
+        for film in self.films.values():
+            C = film.head_w.data.shape[0]
+            film.head_w.data[:] = 0
+            film.head_b.data[:C] = 1
+            film.head_b.data[C:] = 0
 
     # ---- forward ---------------------------------------------------------
 
@@ -294,7 +290,7 @@ class Model:
             h = conv1d(h, self.params[f"down{k}.conv.w"],
                        self.params[f"down{k}.conv.b"], stride=2).relu()
             if use_afilm:
-                h = afilm_layer(h, self._film(f"down{k}.film"), B)
+                h = afilm_layer(h, self.films[f"down{k}"], B)
             skips.append(h)
 
         h = conv1d(h, self.params["bottleneck.conv.w"],
@@ -305,14 +301,14 @@ class Model:
             h = dropout(h, cfg.dropout_rate, dropout_rng)
         h = h.relu()
         if use_afilm:
-            h = afilm_layer(h, self._film("bottleneck.film"), B)
+            h = afilm_layer(h, self.films["bottleneck"], B)
 
         for k in range(1, K + 1):
             h = conv1d(h, self.params[f"up{k}.conv.w"],
                        self.params[f"up{k}.conv.b"], stride=1).relu()
             h = subpixel_shuffle_1d(h, 2)
             if use_afilm:
-                h = afilm_layer(h, self._film(f"up{k}.film"), B)
+                h = afilm_layer(h, self.films[f"up{k}"], B)
             h = concat([h, skips[K - k]], axis=1)
 
         h = conv1d(h, self.params["final.conv.w"], self.params["final.conv.b"],

@@ -1,13 +1,20 @@
 """Framed binary container for named float32 tensors.
 
-Layout: 4-byte magic, u32 version, u32 tensor count, then per tensor:
-u16 name length, UTF-8 name, u8 rank, u32 per dimension, raw 32-bit
-little-endian floats. Used for both checkpoints and patch archives.
+Layout: 4-byte magic, u32 version (always 1), u32 tensor count, then per
+tensor: u16 name length, UTF-8 name, u8 rank, u32 per dimension, raw
+32-bit little-endian floats. Used for both checkpoints and patch archives.
+
+The reader goes through the file once, front to back. Each tensor's
+declared size is checked against the bytes left in the file before its
+array is allocated, and its data is read straight into that array, so a
+load holds one copy of the data and a corrupt header cannot ask for more
+memory than the file holds.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 
@@ -15,17 +22,14 @@ import numpy as np
 
 CHECKPOINT_MAGIC = b"AFSR"
 PATCH_MAGIC = b"AFSP"
+VERSION = 1
 
 
 class ContainerFormatError(ValueError):
-    """Bad magic, truncated payload, or malformed framing."""
+    """Bad magic, unsupported version, truncated payload, or malformed framing."""
 
 
-class ContainerVersionError(ValueError):
-    """The file's format version is not supported."""
-
-
-def write_tensors(path, tensors, magic=CHECKPOINT_MAGIC, version=1):
+def write_tensors(path, tensors, magic=CHECKPOINT_MAGIC):
     """Write `tensors` (name -> array) to `path`; values stored as float32.
 
     Atomic: the container goes to a temporary file beside `path`, which
@@ -35,7 +39,7 @@ def write_tensors(path, tensors, magic=CHECKPOINT_MAGIC, version=1):
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            _write_container(fh, tensors, magic, version)
+            _write_container(fh, tensors, magic)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -43,9 +47,9 @@ def write_tensors(path, tensors, magic=CHECKPOINT_MAGIC, version=1):
         raise
 
 
-def _write_container(fh, tensors, magic, version):
+def _write_container(fh, tensors, magic):
     fh.write(magic)
-    fh.write(struct.pack("<II", version, len(tensors)))
+    fh.write(struct.pack("<II", VERSION, len(tensors)))
     for name, arr in tensors.items():
         arr = np.asarray(arr, dtype="<f4")
         encoded = name.encode("utf-8")
@@ -55,43 +59,42 @@ def _write_container(fh, tensors, magic, version):
             raise ValueError(f"tensor rank too large: {arr.ndim}")
         fh.write(struct.pack("<H", len(encoded)))
         fh.write(encoded)
-        fh.write(struct.pack("<B", arr.ndim))
-        for d in arr.shape:
-            fh.write(struct.pack("<I", d))
+        fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
         fh.write(np.ascontiguousarray(arr).tobytes())
 
 
-def read_tensors(path, magic=CHECKPOINT_MAGIC, max_version=1):
-    """Read a tensor container; returns (version, dict name -> float32 array)."""
+def read_tensors(path, magic=CHECKPOINT_MAGIC):
+    """Read a tensor container into a dict name -> float32 array; each
+    array owns its data."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        size = os.fstat(fh.fileno()).st_size
 
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise ContainerFormatError(f"truncated file while reading {what}")
-        chunk = blob[pos:pos + n]
-        pos += n
-        return chunk
+        def take(n, what):
+            chunk = fh.read(n)
+            if len(chunk) != n:
+                raise ContainerFormatError(f"truncated file while reading {what}")
+            return chunk
 
-    pos = 0
-    got_magic = take(4, "magic")
-    if got_magic != magic:
-        raise ContainerFormatError(
-            f"bad magic {got_magic!r}, expected {magic!r}")
-    version, count = struct.unpack("<II", take(8, "header"))
-    if version < 1 or version > max_version:
-        raise ContainerVersionError(
-            f"unsupported format version {version} (max {max_version})")
-    tensors = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<H", take(2, "name length"))
-        name = take(nlen, "name").decode("utf-8")
-        (rank,) = struct.unpack("<B", take(1, "rank"))
-        shape = tuple(struct.unpack("<I", take(4, "dimension"))[0] for _ in range(rank))
-        n_items = int(np.prod(shape)) if shape else 1
-        raw = take(4 * n_items, f"data of '{name}'")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-    if pos != len(blob):
-        raise ContainerFormatError(f"{len(blob) - pos} trailing bytes after last tensor")
-    return version, tensors
+        got_magic = take(4, "magic")
+        if got_magic != magic:
+            raise ContainerFormatError(
+                f"bad magic {got_magic!r}, expected {magic!r}")
+        version, count = struct.unpack("<II", take(8, "header"))
+        if version != VERSION:
+            raise ContainerFormatError(
+                f"unsupported format version {version} (only {VERSION})")
+        tensors = {}
+        for _ in range(count):
+            (nlen,) = struct.unpack("<H", take(2, "name length"))
+            name = take(nlen, "name").decode("utf-8")
+            (rank,) = struct.unpack("<B", take(1, "rank"))
+            shape = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of '{name}'"))
+            if 4 * math.prod(shape) > size - fh.tell():
+                raise ContainerFormatError(f"truncated file while reading data of '{name}'")
+            arr = np.empty(shape, dtype="<f4")
+            fh.readinto(arr)
+            tensors[name] = arr
+        trailing = size - fh.tell()
+    if trailing:
+        raise ContainerFormatError(f"{trailing} trailing bytes after last tensor")
+    return tensors

@@ -99,9 +99,8 @@ def train(model, patches, cfg, state=None, start_epoch=0,
             f"{model.config.patch_length}")
     if state is None:
         state = AdamState()
-    # hyperparameters always come from the config, not the checkpoint, so a
-    # resumed run replays arithmetic bit-exactly (the checkpoint stores them
-    # only as float32 documentation)
+    # hyperparameters always come from the config, so a resumed run replays
+    # arithmetic bit-exactly; checkpoints do not store them
     state.learning_rate = cfg.learning_rate
     state.beta1 = cfg.beta1
     state.beta2 = cfg.beta2
@@ -152,7 +151,6 @@ def train(model, patches, cfg, state=None, start_epoch=0,
 
 @dataclass
 class Checkpoint:
-    version: int
     config: ModelConfig
     params: dict
     opt_m: dict
@@ -172,16 +170,12 @@ def save_checkpoint(path, model, state, epoch, seed):
     tensors[META_PREFIX + "t"] = np.float32(state.t)
     tensors[META_PREFIX + "epoch"] = np.float32(epoch)
     tensors[META_PREFIX + "seed"] = np.float32(seed)
-    tensors[META_PREFIX + "lr"] = np.float32(state.learning_rate)
-    tensors[META_PREFIX + "beta1"] = np.float32(state.beta1)
-    tensors[META_PREFIX + "beta2"] = np.float32(state.beta2)
-    tensors[META_PREFIX + "eps"] = np.float32(state.eps)
     tensorio.write_tensors(path, tensors, magic=tensorio.CHECKPOINT_MAGIC)
 
 
 def load_checkpoint(path):
     """Read a checkpoint file into a Checkpoint record."""
-    version, tensors = tensorio.read_tensors(path, magic=tensorio.CHECKPOINT_MAGIC)
+    tensors = tensorio.read_tensors(path, magic=tensorio.CHECKPOINT_MAGIC)
     params, opt_m, opt_v, meta, cfg_vals = {}, {}, {}, {}, {}
     for name, arr in tensors.items():
         if name.startswith(OPT_M_PREFIX):
@@ -202,7 +196,7 @@ def load_checkpoint(path):
     # every value is stored as float32; each field's default gives its type
     config = ModelConfig(**{f.name: type(f.default)(cfg_vals[f.name])
                             for f in model_fields})
-    return Checkpoint(version=version, config=config, params=params,
+    return Checkpoint(config=config, params=params,
                       opt_m=opt_m, opt_v=opt_v, meta=meta)
 
 
@@ -215,12 +209,9 @@ def restore_model(ckpt, dtype=np.float32):
 
 
 def restore_state(ckpt):
-    """Rebuild the optimizer state saved alongside the parameters."""
-    state = AdamState(learning_rate=ckpt.meta.get("lr", 3e-4),
-                      beta1=ckpt.meta.get("beta1", 0.9),
-                      beta2=ckpt.meta.get("beta2", 0.999),
-                      eps=ckpt.meta.get("eps", 1e-8),
-                      t=int(ckpt.meta.get("t", 0)))
+    """Rebuild the optimizer's step count and moments; `train` takes the
+    hyperparameters from its TrainConfig."""
+    state = AdamState(t=int(ckpt.meta.get("t", 0)))
     state.m = {k: v.copy() for k, v in ckpt.opt_m.items()}
     state.v = {k: v.copy() for k, v in ckpt.opt_v.items()}
     return state

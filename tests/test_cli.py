@@ -5,7 +5,9 @@ import pytest
 
 from afsr import archive, wavio
 from afsr.cli import main, parse_config_file
-from afsr.trainer import load_checkpoint, restore_model
+from afsr.model import Model, ModelConfig
+from afsr.optim import AdamState
+from afsr.trainer import load_checkpoint, restore_model, save_checkpoint
 
 
 def write_tone(path, freq=440.0, seconds=1.0, rate=16000, amp=0.4):
@@ -402,3 +404,22 @@ class TestExitCodes:
         assert main(["--version"]) == 0
         from afsr import __version__
         assert __version__ in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("prepare", "--scale", "1"), ("prepare", "--scale", "0"),
+        ("prepare", "--patch", "0"), ("prepare", "--stride", "-5"),
+        ("eval", "--hop", "0"), ("eval", "--frame", "0"), ("eval", "--frame", "-4")])
+    def test_out_of_range_flag_exits_2(self, tmp_path, corpus, capsys, command, flag, value):
+        out = str(tmp_path / "out")
+        if command == "prepare":
+            args = ["prepare", "--in", corpus, "--out", out, "--scale", "2"]
+        else:
+            ckpt = str(tmp_path / "ck.afsr")
+            cfg = ModelConfig(depth=2, blocks=4, transformer_layers=1, heads=2,
+                              ffn_hidden=8, dropout_rate=0.0, patch_length=2048,
+                              width_mult=1.0 / 32.0)
+            save_checkpoint(ckpt, Model(cfg), AdamState(), 0, 0)
+            args = ["eval", "--ckpt", ckpt, "--data", corpus, "--scale", "2", "--out", out]
+        assert main(args + [flag, value]) == 2
+        assert f"{flag} must be" in capsys.readouterr().err
+        assert not os.path.exists(out)

@@ -225,6 +225,34 @@ class TestCheckpointing:
         for k in m_full.params:
             assert np.array_equal(m_b.params[k].data, m_full.params[k].data)
 
+    def test_resume_from_checkpoint_with_old_hyperparameter_entries(self, tmp_path, rng):
+        # checkpoints written before the Adam hyperparameters were dropped
+        # from __meta__ still load, and train() takes them from its config
+        patches = make_patches(rng)
+        cfg = TrainConfig(epochs=4, batch_size=4, learning_rate=1e-3, seed=7)
+        m_full = Model(small_config(), seed=3)
+        r_full = train(m_full, patches, cfg)
+
+        m_a = Model(small_config(), seed=3)
+        r_a = train(m_a, patches, TrainConfig(epochs=2, batch_size=4,
+                                              learning_rate=1e-3, seed=7))
+        path = str(tmp_path / "old.bin")
+        save_checkpoint(path, m_a, r_a.state, epoch=2, seed=7)
+        tensors = tensorio.read_tensors(path)
+        tensors.update({"__meta__.lr": np.float32(1e-3), "__meta__.beta1": np.float32(0.9),
+                        "__meta__.beta2": np.float32(0.999),
+                        "__meta__.eps": np.float32(1e-8)})
+        tensorio.write_tensors(path, tensors)
+
+        ckpt = load_checkpoint(path)
+        assert ckpt.meta["lr"] == np.float32(1e-3)
+        m_b = restore_model(ckpt)
+        r_b = train(m_b, patches, cfg, state=restore_state(ckpt),
+                    start_epoch=int(ckpt.meta["epoch"]))
+        assert r_a.step_losses + r_b.step_losses == r_full.step_losses
+        for k in m_full.params:
+            assert np.array_equal(m_b.params[k].data, m_full.params[k].data)
+
     def test_periodic_checkpoint_written(self, tmp_path, rng):
         model = Model(small_config(), seed=0)
         path = str(tmp_path / "period.bin")
