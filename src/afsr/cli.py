@@ -246,6 +246,8 @@ def write_pgm(path, matrix):
 
 
 def cmd_spectrogram(args):
+    _check_flags(args, (("frame", args.frame >= 1, ">= 1"),
+                        ("hop", args.hop >= 1, ">= 1")))
     if not os.path.exists(args.input):
         raise DataError(f"input WAV not found: {args.input}")
     samples, rate = wavio.read_wav(args.input)

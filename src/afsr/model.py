@@ -97,32 +97,33 @@ class ModelConfig:
 
 
 def subpixel_shuffle_1d(x, factor):
-    """Rearrange (T, C) into (T*factor, C/factor): out[t*f + p, c] = x[t, c*f + p]."""
-    T, C = x.data.shape
+    """Rearrange (..., T, C) into (..., T*f, C/f): out[t*f + p, c] = x[t, c*f + p]."""
+    *lead, T, C = x.data.shape
     if factor < 1 or C % factor != 0:
         raise DivisibilityError(
             f"shuffle factor {factor} does not divide channel count {C}")
     if factor == 1:
         return x
-    return x.reshape(T, C // factor, factor).transpose(0, 2, 1).reshape(T * factor, C // factor)
+    return (x.reshape(*lead, T, C // factor, factor).swapaxes(-1, -2)
+            .reshape(*lead, T * factor, C // factor))
 
 
 def multi_head_attention(x, wq, bq, wk, wv, bv, wo, bo, heads):
-    """Scaled dot-product self-attention over a (B, C) sequence.
+    """Scaled dot-product self-attention over a (..., B, C) sequence.
 
     The key projection carries no bias: softmax is invariant to a shift
     that is common to every key, so such a bias would be a dead parameter.
     """
-    B, C = x.data.shape
+    *lead, B, C = x.data.shape
     if heads < 1 or C % heads != 0:
         raise ValueError(f"head count {heads} does not divide channels {C}")
     head_dim = C // heads
-    q = (x @ wq + bq).reshape(B, heads, head_dim).transpose(1, 0, 2)
-    k = (x @ wk).reshape(B, heads, head_dim).transpose(1, 0, 2)
-    v = (x @ wv + bv).reshape(B, heads, head_dim).transpose(1, 0, 2)
-    scores = (q @ k.transpose(0, 2, 1)) * (1.0 / np.sqrt(head_dim))
+    q = (x @ wq + bq).reshape(*lead, B, heads, head_dim).swapaxes(-3, -2)
+    k = (x @ wk).reshape(*lead, B, heads, head_dim).swapaxes(-3, -2)
+    v = (x @ wv + bv).reshape(*lead, B, heads, head_dim).swapaxes(-3, -2)
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(head_dim))
     attn = softmax(scores, axis=-1)
-    mixed = (attn @ v).transpose(1, 0, 2).reshape(B, C)
+    mixed = (attn @ v).swapaxes(-3, -2).reshape(*lead, B, C)
     return mixed @ wo + bo
 
 
@@ -159,23 +160,23 @@ def transformer_block(f_pool, params):
         h = layer_norm(x, lp["ln2_g"], lp["ln2_b"])
         x = x + ((h @ lp["w1"] + lp["b1"]).relu() @ lp["w2"] + lp["b2"])
     out = x @ params.head_w + params.head_b
-    C = f_pool.data.shape[1]
-    return out[:, :C], out[:, C:]
+    C = f_pool.data.shape[-1]
+    return out[..., :C], out[..., C:]
 
 
 def afilm_modulate(f, gamma, beta):
-    """Per-block affine remap: block b of F becomes gamma[b] * F + beta[b]."""
-    T, C = f.data.shape
-    B = gamma.data.shape[0]
+    """Per-block affine remap: block b of (..., T, C) F becomes gamma[b] * F + beta[b]."""
+    *lead, T, C = f.data.shape
+    B = gamma.data.shape[-2]
     if B < 1 or T % B != 0:
         raise DivisibilityError(f"block count {B} does not divide time axis {T}")
-    if gamma.data.shape != (B, C) or beta.data.shape != (B, C):
+    if gamma.data.shape != (*lead, B, C) or beta.data.shape != (*lead, B, C):
         raise ShapeError(
             f"modulation shapes {gamma.data.shape}/{beta.data.shape} do not "
-            f"match (B, C) = ({B}, {C})")
-    fb = f.reshape(B, T // B, C)
-    out = fb * gamma.reshape(B, 1, C) + beta.reshape(B, 1, C)
-    return out.reshape(T, C)
+            f"match (..., B, C) = {(*lead, B, C)}")
+    fb = f.reshape(*lead, B, T // B, C)
+    out = fb * gamma.reshape(*lead, B, 1, C) + beta.reshape(*lead, B, 1, C)
+    return out.reshape(*lead, T, C)
 
 
 def afilm_layer(f, params, n_blocks):
@@ -276,12 +277,13 @@ class Model:
     # ---- forward ---------------------------------------------------------
 
     def forward(self, x, train=False, dropout_rng=None, use_afilm=True):
-        """Map a (T0, 1) cubic-upsampled patch to its enhanced version."""
+        """Map (..., T0, 1) cubic-upsampled patches, whose leading axes are
+        a batch, to their enhanced versions."""
         cfg = self.config
         K = cfg.depth
-        if x.data.shape != (cfg.patch_length, 1):
+        if x.data.shape[-2:] != (cfg.patch_length, 1):
             raise ShapeError(
-                f"expected input shape ({cfg.patch_length}, 1), got {x.data.shape}")
+                f"expected input shape (..., {cfg.patch_length}, 1), got {x.data.shape}")
         B = cfg.blocks
 
         skips = []
@@ -309,7 +311,7 @@ class Model:
             h = subpixel_shuffle_1d(h, 2)
             if use_afilm:
                 h = afilm_layer(h, self.films[f"up{k}"], B)
-            h = concat([h, skips[K - k]], axis=1)
+            h = concat([h, skips[K - k]], axis=-1)
 
         h = conv1d(h, self.params["final.conv.w"], self.params["final.conv.b"],
                    stride=1)

@@ -8,10 +8,15 @@ are otherwise unreliable. A node's gradient always has its data's dtype, so
 a float32 graph runs its backward in float32 too.
 
 `layer_norm` and `softmax` are single graph nodes with closed-form
-backward, not compositions of the elementwise ops.
+backward, not compositions of the elementwise ops. Ops on the model path
+take (..., T, C) arrays whose leading axes are a batch; `conv1d` builds
+its im2col buffers one sample at a time, so they do not grow with it.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import iadd
 
 import numpy as np
 
@@ -209,7 +214,10 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
                                            a.data.shape))
-            if b.requires_grad:
+            if b.requires_grad and b.data.ndim == 2:
+                # a batch times one matrix: every leading axis folds into one GEMM
+                b._accumulate(a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            elif b.requires_grad:
                 b._accumulate(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
                                            b.data.shape))
 
@@ -228,33 +236,28 @@ class Tensor:
 
     # ---- reductions ------------------------------------------------------
 
-    def sum(self, axis=None, keepdims=False):
+    def sum(self, axis=None):
         a = self
-        out_data = a.data.sum(axis=axis, keepdims=keepdims)
+        out_data = a.data.sum(axis=axis)
 
         def backward(g):
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
+            gg = g if axis is None else np.expand_dims(g, axis)
+            a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
 
         return Tensor._result(out_data, (a,), backward)
 
-    def mean(self, axis=None, keepdims=False):
+    def mean(self, axis=None):
         n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+        return self.sum(axis=axis) * (1.0 / n)
 
-    def max(self, axis, keepdims=False):
+    def max(self, axis):
         a = self
-        out_data = a.data.max(axis=axis, keepdims=keepdims)
+        out_data = a.data.max(axis=axis)
 
         def backward(g):
-            expanded = out_data if keepdims else np.expand_dims(out_data, axis)
-            mask = (a.data == expanded)
+            mask = (a.data == np.expand_dims(out_data, axis))
             counts = mask.sum(axis=axis, keepdims=True, dtype=a.data.dtype)
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a._accumulate(mask * (gg / counts))
+            a._accumulate(mask * (np.expand_dims(g, axis) / counts))
 
         return Tensor._result(out_data, (a,), backward)
 
@@ -271,15 +274,12 @@ class Tensor:
 
         return Tensor._result(out_data, (a,), backward)
 
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
+    def swapaxes(self, a1, a2):
         a = self
-        inv = np.argsort(axes)
-        out_data = a.data.transpose(axes)
+        out_data = a.data.swapaxes(a1, a2)
 
         def backward(g):
-            a._accumulate(np.ascontiguousarray(g.transpose(inv)))
+            a._accumulate(g.swapaxes(a1, a2))
 
         return Tensor._result(out_data, (a,), backward)
 
@@ -371,16 +371,15 @@ def _im2col(x, width, stride):
 
 
 def conv1d(x, kernels, bias, stride=1):
-    """1-D convolution over (T, Cin) with kernels (Cout, W, Cin).
-
-    Zero padding keeps "same" length before striding, so the output is
-    (ceil(T / stride), Cout). Kernel width must be odd.
-    """
-    if x.data.ndim != 2:
-        raise ShapeError(f"conv1d input must be (T, Cin), got {x.data.shape}")
+    """1-D convolution over (..., T, Cin), whose leading axes are a batch,
+    with kernels (Cout, W, Cin) of odd width W. Zero padding keeps "same"
+    length before striding, so the output is (..., ceil(T / stride), Cout).
+    Forward and backward build im2col buffers one sample at a time."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"conv1d input must be (..., T, Cin), got {x.data.shape}")
     if kernels.data.ndim != 3:
         raise ShapeError(f"conv1d kernels must be (Cout, W, Cin), got {kernels.data.shape}")
-    T, cin = x.data.shape
+    *lead, T, cin = x.data.shape
     cout, width, kcin = kernels.data.shape
     if width % 2 == 0:
         raise ShapeError(f"kernel width must be odd, got {width}")
@@ -393,36 +392,38 @@ def conv1d(x, kernels, bias, stride=1):
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
 
+    xs = x.data.reshape(-1, T, cin)
     kmat = kernels.data.reshape(cout, width * cin).T
-    out_data = _im2col(x.data, width, stride) @ kmat + bias.data
-    t_out = out_data.shape[0]
+    out_data = np.stack([_im2col(xn, width, stride) @ kmat for xn in xs]) + bias.data
 
     def backward(g):
+        gs = g.reshape(out_data.shape)
         if bias.requires_grad:
-            bias._accumulate(g.sum(axis=0))
+            bias._accumulate(g.reshape(-1, cout).sum(axis=0))
         if kernels.requires_grad:
             # rebuilt rather than kept from forward: the buffer is W / stride
             # times the input's size, and only this product needs it
-            gk = (_im2col(x.data, width, stride).T @ g).T.reshape(cout, width, cin)
-            kernels._accumulate(gk)
+            gk = reduce(iadd, (_im2col(xn, width, stride).T @ gn for xn, gn in zip(xs, gs)))
+            kernels._accumulate(gk.T.reshape(cout, width, cin))
         if x.requires_grad:
-            gcols = (g @ kmat.T).reshape(t_out, width, cin)
             pad = width // 2
-            gxp = np.zeros((T + 2 * pad, cin), dtype=x.data.dtype)
-            for w in range(width):
-                gxp[w:w + (t_out - 1) * stride + 1:stride] += gcols[:, w, :]
-            x._accumulate(gxp[pad:pad + T])
+            gxp = np.zeros((len(xs), T + 2 * pad, cin), dtype=x.data.dtype)
+            for gn, gxn in zip(gs, gxp):
+                gcols = (gn @ kmat.T).reshape(-1, width, cin)
+                for w in range(width):
+                    gxn[w:w + (len(gn) - 1) * stride + 1:stride] += gcols[:, w, :]
+            x._accumulate(gxp[:, pad:pad + T].reshape(x.data.shape))
 
-    return Tensor._result(out_data, (x, kernels, bias), backward)
+    return Tensor._result(out_data.reshape(*lead, -1, cout), (x, kernels, bias), backward)
 
 
 def max_pool_blocks(x, n_blocks):
-    """Split the time axis of (T, C) into `n_blocks` contiguous blocks and
-    take the per-channel maximum inside each, yielding (n_blocks, C)."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"max_pool_blocks input must be (T, C), got {x.data.shape}")
-    T, C = x.data.shape
+    """Split the time axis of (..., T, C) into `n_blocks` contiguous blocks
+    and take the per-channel maximum inside each, yielding (..., n_blocks, C)."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"max_pool_blocks input must be (..., T, C), got {x.data.shape}")
+    *lead, T, C = x.data.shape
     if n_blocks < 1 or T % n_blocks != 0:
         raise DivisibilityError(
             f"block count {n_blocks} does not divide time axis {T}")
-    return x.reshape(n_blocks, T // n_blocks, C).max(axis=1)
+    return x.reshape(*lead, n_blocks, T // n_blocks, C).max(axis=-2)

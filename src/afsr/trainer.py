@@ -71,15 +71,11 @@ class TrainResult:
 
 
 def batch_loss(model, lo_batch, hi_batch, train=False, dropout_rng=None):
-    """Mean patch MSE over one batch; builds one graph across the batch."""
-    total = None
-    for lo, hi in zip(lo_batch, hi_batch):
-        x = Tensor(np.asarray(lo, dtype=model.dtype).reshape(-1, 1))
-        y = Tensor(np.asarray(hi, dtype=model.dtype).reshape(-1, 1))
-        pred = model.forward(x, train=train, dropout_rng=dropout_rng)
-        loss = mse_loss(pred, y)
-        total = loss if total is None else total + loss
-    return total * (1.0 / len(lo_batch))
+    """Mean patch MSE over one (N, T0) batch, from one forward pass over
+    the stacked (N, T0, 1) input."""
+    x = Tensor(np.asarray(lo_batch, dtype=model.dtype)[..., None])
+    y = Tensor(np.asarray(hi_batch, dtype=model.dtype)[..., None])
+    return mse_loss(model.forward(x, train=train, dropout_rng=dropout_rng), y)
 
 
 def train(model, patches, cfg, state=None, start_epoch=0,
@@ -210,8 +206,6 @@ def restore_model(ckpt, dtype=np.float32):
 
 def restore_state(ckpt):
     """Rebuild the optimizer's step count and moments; `train` takes the
-    hyperparameters from its TrainConfig."""
-    state = AdamState(t=int(ckpt.meta.get("t", 0)))
-    state.m = {k: v.copy() for k, v in ckpt.opt_m.items()}
-    state.v = {k: v.copy() for k, v in ckpt.opt_v.items()}
-    return state
+    hyperparameters from its TrainConfig. The state takes over the
+    checkpoint's moment arrays, without a copy, and updates them in place."""
+    return AdamState(t=int(ckpt.meta.get("t", 0)), m=dict(ckpt.opt_m), v=dict(ckpt.opt_v))

@@ -32,6 +32,17 @@ def max_rel_err(analytic, numeric, floor=1e-3):
     return worst
 
 
+def graph_nodes(out):
+    """Recorded nodes reachable from `out` (leaves record none)."""
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t._backward is not None:
+            seen.add(id(t))
+            stack.extend(t._prev)
+    return len(seen)
+
+
 def check_gradients(build_loss, arrays, seeds=range(10), h=1e-5, tol=1e-4, rng_fill=None):
     """Run an FD gradient check across several random seeds.
 

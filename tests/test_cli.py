@@ -408,11 +408,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, flag, value", [
         ("prepare", "--scale", "1"), ("prepare", "--scale", "0"),
         ("prepare", "--patch", "0"), ("prepare", "--stride", "-5"),
-        ("eval", "--hop", "0"), ("eval", "--frame", "0"), ("eval", "--frame", "-4")])
+        ("eval", "--hop", "0"), ("eval", "--frame", "0"), ("eval", "--frame", "-4"),
+        ("spectrogram", "--hop", "0"), ("spectrogram", "--frame", "0"),
+        ("spectrogram", "--frame", "-4")])
     def test_out_of_range_flag_exits_2(self, tmp_path, corpus, capsys, command, flag, value):
         out = str(tmp_path / "out")
         if command == "prepare":
             args = ["prepare", "--in", corpus, "--out", out, "--scale", "2"]
+        elif command == "spectrogram":
+            args = ["spectrogram", "--in", os.path.join(corpus, "tone0.wav"), "--out", out]
         else:
             ckpt = str(tmp_path / "ck.afsr")
             cfg = ModelConfig(depth=2, blocks=4, transformer_layers=1, heads=2,

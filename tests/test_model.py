@@ -330,6 +330,15 @@ class TestModelForward:
         b = Model(tiny_config(), seed=3).forward(Tensor(x)).data
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("use_afilm", [True, False])
+    def test_batch_matches_stacked_patches(self, rng, dtype, use_afilm):
+        model = Model(tiny_config(), seed=2, dtype=dtype)
+        x = rng.normal(size=(3, 64, 1)).astype(dtype)
+        batched = model.forward(Tensor(x), use_afilm=use_afilm).data
+        stacked = np.stack([model.forward(Tensor(p), use_afilm=use_afilm).data for p in x])
+        assert np.array_equal(batched, stacked)
+
     def test_dropout_requires_rng(self):
         model = Model(tiny_config(dropout_rate=0.5), seed=0)
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import check_gradients, finite_difference, max_rel_err
+from conftest import check_gradients, finite_difference, graph_nodes, max_rel_err
 
 from afsr.optim import AdamState, adam_step
 from afsr.tensor import (DivisibilityError, ShapeError, Tensor, concat,
@@ -175,17 +175,6 @@ class TestMaxPoolBlocks:
         assert x.grad.dtype == np.float32
 
 
-def graph_nodes(out):
-    """Recorded nodes reachable from `out` (leaves record none)."""
-    seen, stack = set(), [out]
-    while stack:
-        t = stack.pop()
-        if id(t) not in seen and t._backward is not None:
-            seen.add(id(t))
-            stack.extend(t._prev)
-    return len(seen)
-
-
 class TestFusedOps:
     def test_softmax_is_one_node(self, rng):
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
@@ -234,16 +223,18 @@ class TestGradientChecks:
     """Central finite differences at 64-bit, 10 seeds per op."""
 
     def test_conv1d(self):
-        x = np.zeros((8, 2))
-        k = np.zeros((3, 3, 2))
-        b = np.zeros(3)
+        # a single (T, Cin) input, then a leading batch axis of 2
+        for x_shape, stride in (((8, 2), 2), ((2, 8, 2), 1), ((2, 8, 2), 2)):
+            x = np.zeros(x_shape)
+            k = np.zeros((3, 3, 2))
+            b = np.zeros(3)
 
-        def build(ts):
-            tx, tk, tb = ts
-            out = conv1d(tx, tk, tb, stride=2)
-            return (out * out).sum()
+            def build(ts):
+                tx, tk, tb = ts
+                out = conv1d(tx, tk, tb, stride=stride)
+                return (out * out).sum()
 
-        check_gradients(build, [x, k, b])
+            check_gradients(build, [x, k, b])
 
     def test_matmul_softmax_chain(self):
         a = np.zeros((4, 5))

@@ -9,6 +9,7 @@ from afsr.tensor import ShapeError, Tensor
 from afsr.trainer import (Checkpoint, TrainConfig, TrainingDiverged,
                           batch_loss, load_checkpoint, mse_loss, restore_model,
                           restore_state, save_checkpoint, train)
+from conftest import graph_nodes
 
 
 def small_config(**overrides):
@@ -57,6 +58,27 @@ class TestBatchLoss:
         wrong = {name: p.grad.dtype for name, p in model.params.items()
                  if p.grad.dtype != np.float32}
         assert not wrong
+
+    def test_graph_does_not_grow_with_batch(self, rng):
+        model = Model(small_config(), seed=0)
+        patches = make_patches(rng, n=4)
+        counts = [graph_nodes(batch_loss(model, patches.lo[:n], patches.hi[:n]))
+                  for n in (1, 4)]
+        assert counts[0] == counts[1]
+
+    def test_dropout_masks_match_per_patch_draws(self, rng):
+        # the batch draws one (N, ...) mask from the stream that N per-patch
+        # forwards would draw from in turn
+        model = Model(small_config(dropout_rate=0.5), seed=0, dtype=np.float64)
+        patches = make_patches(rng, n=4)
+        got = batch_loss(model, patches.lo, patches.hi, train=True,
+                         dropout_rng=np.random.default_rng(5)).data.reshape(-1)[0]
+        per_patch_rng = np.random.default_rng(5)
+        losses = [mse_loss(model.forward(Tensor(lo.reshape(-1, 1), dtype=np.float64),
+                                         train=True, dropout_rng=per_patch_rng),
+                           Tensor(hi.reshape(-1, 1), dtype=np.float64)).data.reshape(-1)[0]
+                  for lo, hi in zip(patches.lo, patches.hi)]
+        assert float(got) == pytest.approx(float(np.mean(losses)), rel=1e-12, abs=0)
 
 
 class TestTrainLoop:
@@ -152,6 +174,18 @@ class TestCheckpointing:
         for k in result.state.m:
             assert np.array_equal(state.m[k], result.state.m[k])
             assert np.array_equal(state.v[k], result.state.v[k])
+
+    def test_restored_state_takes_over_the_moments(self, tmp_path, rng):
+        model = Model(small_config(), seed=0)
+        result = train(model, make_patches(rng), TrainConfig(epochs=1, batch_size=4, seed=1))
+        path = str(tmp_path / "ck.bin")
+        save_checkpoint(path, model, result.state, epoch=1, seed=1)
+        ckpt = load_checkpoint(path)
+        state = restore_state(ckpt)
+        assert set(state.m) == set(ckpt.opt_m) == set(model.params)
+        for k in model.params:
+            assert np.shares_memory(state.m[k], ckpt.opt_m[k]), k
+            assert np.shares_memory(state.v[k], ckpt.opt_v[k]), k
 
     def test_corrupt_magic_rejected(self, tmp_path, rng):
         model = Model(small_config(), seed=0)
