@@ -167,10 +167,8 @@ def cmd_train(args):
                    ["checkpoint.afsr", "loss.txt"])
     model = Model(model_cfg, seed=train_cfg.seed)
     print(f"train: model has {count_parameters(model)} parameters")
-    loss_lines = []
 
     def log(epoch, loss):
-        loss_lines.append(f"{epoch},{loss:.8e}")
         print(f"train: epoch {epoch} mean loss {loss:.6e}")
 
     ckpt_path = os.path.join(args.output, "checkpoint.afsr")
@@ -180,8 +178,8 @@ def cmd_train(args):
                             result.epochs_completed, train_cfg.seed)
     with open(os.path.join(args.output, "loss.txt"), "w") as fh:
         fh.write("epoch,mean_loss\n")
-        for line in loss_lines:
-            fh.write(line + "\n")
+        for epoch, loss in enumerate(result.epoch_losses):
+            fh.write(f"{epoch},{loss:.8e}\n")
     print(f"train: wrote {ckpt_path}")
     return EXIT_OK
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import interpolate, signal
 
 DEFAULT_RIPPLE_DB = 0.05
@@ -80,21 +81,17 @@ def design_cheby1_lowpass(order, ripple_db, cutoff_normalized):
     return IIRFilter(b, a)
 
 
-def _zero_phase(filt, x):
-    """Forward-backward filtering; removes the IIR phase distortion that
-    would otherwise wreck waveform-domain SNR after resampling."""
-    return signal.filtfilt(filt.b, filt.a, x)
-
-
-def downsample(sig, r, ripple_db=DEFAULT_RIPPLE_DB):
+def downsample(sig, r):
     """Low-pass at 0.8/r of Nyquist, then keep every r-th sample.
 
     Output length is floor(len / r); output rate is rate / r.
     """
     if r < 2:
         raise ValueError(f"downsampling factor must be >= 2, got {r}")
-    filt = design_cheby1_lowpass(8, ripple_db, 0.8 / r)
-    filtered = _zero_phase(filt, sig.samples)
+    filt = design_cheby1_lowpass(8, DEFAULT_RIPPLE_DB, 0.8 / r)
+    # forward-backward (zero-phase) filtering: the IIR's phase distortion
+    # would otherwise wreck waveform-domain SNR after resampling
+    filtered = signal.filtfilt(filt.b, filt.a, sig.samples)
     n = (len(filtered) // r) * r
     return AudioSignal(filtered[:n:r], sig.sample_rate_hz // r)
 
@@ -138,18 +135,18 @@ def extract_patches(lowres_upsampled, highres, length=8192, stride=None,
     if length < 1 or stride < 1:
         raise ValueError("patch length and stride must be positive")
     n = len(highres)
-    offsets = list(range(0, n - length + 1, stride))
-    # filled in place: no float64 copy of the windows
-    lo = np.empty((len(offsets), length), dtype=np.float32)
-    hi = np.empty((len(offsets), length), dtype=np.float32)
-    for i, o in enumerate(offsets):
-        lo[i] = lowres_upsampled.samples[o:o + length]
-        hi[i] = highres.samples[o:o + length]
+    offsets = np.arange(0, n - length + 1, stride, dtype=np.int64)
+
+    def windows(x):
+        # a strided view cast straight to float32: no float64 copy of the windows
+        view = sliding_window_view(x, length) if n >= length else np.empty((0, length))
+        return view[::stride].astype(np.float32)
+
     return PatchSet(
-        lo=lo,
-        hi=hi,
+        lo=windows(lowres_upsampled.samples),
+        hi=windows(highres.samples),
         file_index=np.full(len(offsets), file_index, dtype=np.int64),
-        offset=np.asarray(offsets, dtype=np.int64),
+        offset=offsets,
         patch_length=length,
         sample_rate_hz=highres.sample_rate_hz,
         scale=scale,
@@ -193,11 +190,5 @@ def stft_log_power(samples, frame=2048, hop=512):
             f"frame length {frame} exceeds signal length {len(samples)}")
     if hop < 1:
         raise ValueError(f"hop must be positive, got {hop}")
-    win = hann_window(frame)
-    n_frames = 1 + (len(samples) - frame) // hop
-    out = np.empty((n_frames, frame // 2 + 1))
-    for t in range(n_frames):
-        seg = samples[t * hop:t * hop + frame] * win
-        spec = np.fft.rfft(seg)
-        out[t] = np.log(np.abs(spec) ** 2 + STFT_FLOOR)
-    return out
+    frames = sliding_window_view(samples, frame)[::hop] * hann_window(frame)
+    return np.log(np.abs(np.fft.rfft(frames, axis=-1)) ** 2 + STFT_FLOOR)

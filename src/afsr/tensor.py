@@ -11,6 +11,7 @@ a float32 graph runs its backward in float32 too.
 backward, not compositions of the elementwise ops. Ops on the model path
 take (..., T, C) arrays whose leading axes are a batch; `conv1d` builds
 its im2col buffers one sample at a time, so they do not grow with it.
+Scalars and full reductions, such as a loss, are 0-d: `float(loss.data)`.
 """
 
 from __future__ import annotations
@@ -48,12 +49,11 @@ class no_grad:
 
 
 def _as_array(data, dtype):
+    # not np.ascontiguousarray: it makes a 0-d scalar (1,)
     arr = np.asarray(data)
-    if dtype is not None:
-        return np.ascontiguousarray(arr, dtype=dtype)
-    if arr.dtype == np.float64 or arr.dtype == np.float32:
-        return np.ascontiguousarray(arr)
-    return np.ascontiguousarray(arr, dtype=np.float32)
+    if dtype is None and arr.dtype != np.float64:
+        dtype = np.float32
+    return np.asarray(arr, dtype=dtype, order="C")
 
 
 def _unbroadcast(g, shape):
@@ -291,7 +291,7 @@ class Tensor:
 
         def backward(g):
             full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
+            full[idx] = g
             a._accumulate(full)
 
         return Tensor._result(out_data, (a,), backward)

@@ -45,6 +45,7 @@ class TrainConfig:
                   ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
                   ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
                   ("eps", self.eps > 0, "> 0"),
+                  ("seed", self.seed >= 0, ">= 0"),
                   ("max_steps", self.max_steps >= 0, ">= 0"),
                   ("checkpoint_every", self.checkpoint_every >= 0, ">= 0"))
         for name, ok, bound in ranges:
@@ -119,7 +120,7 @@ def train(model, patches, cfg, state=None, start_epoch=0,
             model.zero_grad()
             loss = batch_loss(model, patches.lo[idx], patches.hi[idx],
                               train=True, dropout_rng=drop_rng)
-            value = float(loss.data.reshape(-1)[0])
+            value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {bi}")

@@ -64,7 +64,7 @@ def check_gradients(build_loss, arrays, seeds=range(10), h=1e-5, tol=1e-4, rng_f
 
         def f():
             frozen = [Tensor(a, dtype=np.float64) for a in arrays]
-            return float(np.asarray(build_loss(frozen).data).reshape(-1)[0])
+            return float(build_loss(frozen).data)
 
         numeric = finite_difference(f, arrays, h=h)
         err = max_rel_err(analytic, numeric)

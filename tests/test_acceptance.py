@@ -357,7 +357,7 @@ def test_criterion_7_learning(tmp_path):
                        seed=3, max_steps=200)
 
     with no_grad():
-        init = float(batch_loss(model, patches.lo, patches.hi).data.reshape(-1)[0])
+        init = float(batch_loss(model, patches.lo, patches.hi).data)
     result = train(model, patches, tcfg)
     final = result.epoch_losses[-1]
     reduction = init / final

@@ -200,7 +200,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("key,value", [
         ("max_steps", "-1"), ("checkpoint_every", "-1"), ("eps", "0"),
-        ("eps", "-1"), ("beta1", "1.0"), ("beta2", "-3")])
+        ("eps", "-1"), ("beta1", "1.0"), ("beta2", "-3"), ("seed", "-1")])
     def test_out_of_range_train_key_exits_2(self, tmp_path, corpus, capsys, key, value):
         arch = self._prepare(tmp_path, corpus)
         cfgp = tmp_path / "bad.cfg"

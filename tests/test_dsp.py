@@ -160,10 +160,15 @@ class TestExtractPatches:
         assert ps.lo.shape == ps.hi.shape == (0, 8192)
 
     def test_window_count(self, rng):
-        x = AudioSignal(rng.normal(size=16384) * 0.1, 16000)
-        ps = extract_patches(x, x, length=8192, stride=4096)
+        lo = AudioSignal(rng.normal(size=16384) * 0.1, 16000)
+        hi = AudioSignal(rng.normal(size=16384) * 0.1, 16000)
+        ps = extract_patches(lo, hi, length=8192, stride=4096)
         assert len(ps) == 3
         assert list(ps.offset) == [0, 4096, 8192]
+        # overlapping windows hold their own samples, cast to float32
+        for i, o in enumerate(ps.offset):
+            assert np.array_equal(ps.lo[i], lo.samples[o:o + 8192].astype(np.float32))
+            assert np.array_equal(ps.hi[i], hi.samples[o:o + 8192].astype(np.float32))
 
     def test_partition_reconstruction(self, rng):
         data = rng.normal(size=1000) * 0.1
@@ -204,15 +209,18 @@ class TestStft:
             assert near / row.sum() >= 0.9
 
     def test_matches_direct_dft(self, rng):
-        frame = 32
-        x = rng.normal(size=frame)
-        out = stft_log_power(x, frame=frame, hop=frame)
+        # overlapping frames (hop < frame): each row is its own windowed DFT
+        frame, hop = 32, 12
+        x = rng.normal(size=frame + 4 * hop + 5)
+        out = stft_log_power(x, frame=frame, hop=hop)
+        assert out.shape == (5, frame // 2 + 1)
         win = hann_window(frame)
-        xw = x * win
-        for k in range(frame // 2 + 1):
-            acc = sum(xw[n] * np.exp(-2j * np.pi * k * n / frame)
-                      for n in range(frame))
-            assert abs(np.exp(out[0, k]) - (abs(acc) ** 2 + dsp.STFT_FLOOR)) < 1e-8
+        for t in range(len(out)):
+            xw = x[t * hop:t * hop + frame] * win
+            for k in range(frame // 2 + 1):
+                acc = sum(xw[n] * np.exp(-2j * np.pi * k * n / frame)
+                          for n in range(frame))
+                assert abs(np.exp(out[t, k]) - (abs(acc) ** 2 + dsp.STFT_FLOOR)) < 1e-8
 
     def test_silence_padding_invariant(self, rng):
         x = rng.normal(size=1000)

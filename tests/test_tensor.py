@@ -7,6 +7,7 @@ from afsr.optim import AdamState, adam_step
 from afsr.tensor import (DivisibilityError, ShapeError, Tensor, concat,
                          conv1d, dropout, layer_norm,
                          max_pool_blocks, no_grad, softmax)
+from afsr.trainer import mse_loss
 
 
 def conv1d_oracle(x, k, b, stride):
@@ -217,6 +218,18 @@ class TestGradOf:
         # the leaves keep their gradients: d/dw sum(relu(xw)^2) = x^T 2 relu(xw)
         assert np.allclose(w.grad, x.data.T @ (2 * h.data))
         assert np.allclose(x.grad, (2 * h.data) @ w.data.T)
+
+
+class TestScalars:
+    def test_scalar_tensor_is_0d(self):
+        assert Tensor(2.0).data.shape == ()
+
+    def test_loss_is_0d(self, rng):
+        a = Tensor(rng.normal(size=(2, 5, 1)), dtype=np.float64)
+        b = Tensor(rng.normal(size=(2, 5, 1)), dtype=np.float64)
+        loss = mse_loss(a, b)
+        assert loss.data.shape == ()
+        assert float(loss.data) == pytest.approx(np.mean((a.data - b.data) ** 2), rel=1e-12)
 
 
 class TestGradientChecks:
