@@ -199,8 +199,8 @@ def _load_model(path, scale, verb):
 def cmd_eval(args):
     _check_flags(args, (("frame", args.frame >= 1, ">= 1"),
                         ("hop", args.hop >= 1, ">= 1")))
-    model = _load_model(args.ckpt, args.scale, "evaluate")
     names = _list_wavs(args.data)
+    model = _load_model(args.ckpt, args.scale, "evaluate")
     files = [os.path.join(args.data, n) for n in names]
     dataset = os.path.basename(os.path.normpath(args.data))
     reports = metrics.evaluate_corpus(model, files, args.scale, dataset=dataset,
@@ -217,9 +217,9 @@ def cmd_eval(args):
 
 
 def cmd_infer(args):
-    model = _load_model(args.ckpt, args.scale, "infer")
     if not os.path.exists(args.input):
         raise DataError(f"input WAV not found: {args.input}")
+    model = _load_model(args.ckpt, args.scale, "infer")
     samples, rate = wavio.read_wav(args.input)
     sig = dsp.AudioSignal(samples, rate)
     lo_up = dsp.cubic_upsample(sig, args.scale)

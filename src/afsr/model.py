@@ -12,7 +12,8 @@ gamma * F + beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,8 +128,7 @@ def multi_head_attention(x, wq, bq, wk, wv, bv, wo, bo, heads):
     return mixed @ wo + bo
 
 
-# Per-layer tensors of a modulation generator, in creation order: weights
-# (w*) are Glorot-initialised, layer-norm gains (*_g) ones, the rest zeros.
+# Per-layer tensors of a modulation generator, in creation order.
 AFILM_LAYER_PARAMS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "wv", "bv", "wo",
                       "bo", "ln2_g", "ln2_b", "w1", "b1", "w2", "b2")
 
@@ -138,10 +138,10 @@ class AfilmParams:
     """Weights of one modulation generator: a Transformer stack plus the
     affine head that emits (gamma, beta)."""
 
-    layers: list = field(default_factory=list)  # list of dicts of Tensors
-    head_w: Tensor = None                       # (C, 2C)
-    head_b: Tensor = None                       # (2C,)
-    heads: int = 1
+    layers: list      # one dict of Tensors per Transformer layer
+    head_w: Tensor    # (C, 2C)
+    head_b: Tensor    # (2C,)
+    heads: int
 
 
 def transformer_block(f_pool, params):
@@ -186,66 +186,85 @@ def afilm_layer(f, params, n_blocks):
     return afilm_modulate(f, gamma, beta)
 
 
-def _glorot(rng, shape, fan_in, fan_out, dtype):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+def param_shapes(config):
+    """Every parameter's name and shape in creation order: per `layer_table`
+    row, its conv, then its generator's layers and (gamma, beta) head."""
+    d = config.ffn_hidden
+    shapes = {}
+    for name, cout, width, cin, C in config.layer_table():
+        shapes[f"{name}.conv.w"] = (cout, width, cin)
+        shapes[f"{name}.conv.b"] = (cout,)
+        if C is not None:
+            sizes = {"w1": (C, d), "b1": (d,), "w2": (d, C)}
+            for i in range(config.transformer_layers):
+                for key in AFILM_LAYER_PARAMS:
+                    default = (C, C) if key[0] == "w" else (C,)
+                    shapes[f"{name}.film.l{i}.{key}"] = sizes.get(key, default)
+            shapes[f"{name}.film.head_w"] = (C, 2 * C)
+            shapes[f"{name}.film.head_b"] = (2 * C,)
+    return shapes
+
+
+def _initial_value(rng, name, shape, dtype):
+    """Glorot-uniform weights, drawn in float64 and cast; ones for layer-norm
+    gains and the gamma half of each head bias; zeros for the rest."""
+    key = name.rsplit(".", 1)[-1]
+    if key[0] == "w" or key == "head_w":
+        # fan_in + fan_out of (C_in, C_out) matrices and (C_out, width, C_in) kernels
+        limit = np.sqrt(6.0 / ((shape[0] + shape[-1]) * math.prod(shape[1:-1])))
+        value = rng.uniform(-limit, limit, size=shape).astype(dtype)
+        # small heads start near identity modulation but pass gradient to the
+        # generator stack; a small final conv makes the initial model near identity
+        return 0.01 * value if key == "head_w" or name == "final.conv.w" else value
+    value = np.zeros(shape, dtype=dtype)
+    if key.endswith("_g"):
+        value[:] = 1
+    elif key == "head_b":
+        value[:shape[0] // 2] = 1
+    return value
+
+
+class MissingTensorError(ValueError):
+    """A checkpoint lacks one of the model's parameters."""
 
 
 class Model:
-    """Parameter container plus the forward pass."""
+    """Parameter container plus the forward pass.
 
-    def __init__(self, config, seed=0, dtype=np.float32):
+    Each parameter, in `param_shapes` order, comes from one of two sources:
+    the seeded initialisation, or `state[name]`, whose array is taken over
+    without a copy when it has `dtype`. `state` gets the one check that
+    `load_state` uses: a MissingTensorError or ShapeError naming the tensor.
+    """
+
+    def __init__(self, config, seed=0, dtype=np.float32, state=None):
         config.validate()
         self.config = config
         self.dtype = np.dtype(dtype)
+        rng = np.random.default_rng(seed)
         self.params = {}
-        self.films = {}               # level name -> AfilmParams
-        self._build(np.random.default_rng(seed))
-
-    # ---- construction ----------------------------------------------------
-
-    def _param(self, name, value):
-        t = Tensor(np.asarray(value, dtype=self.dtype), requires_grad=True)
-        self.params[name] = t
-        return t
-
-    def _add_conv(self, rng, name, cout, width, cin):
-        self._param(f"{name}.w", _glorot(rng, (cout, width, cin),
-                                         width * cin, width * cout, self.dtype))
-        self._param(f"{name}.b", np.zeros(cout, dtype=self.dtype))
-
-    def _add_afilm(self, rng, prefix, C):
-        d = self.config.ffn_hidden
-        shapes = {"w1": (C, d), "b1": (d,), "w2": (d, C)}
-        params = AfilmParams(heads=self.config.heads)
-        for i in range(self.config.transformer_layers):
-            layer = {}
-            for key in AFILM_LAYER_PARAMS:
-                if key[0] == "w":
-                    shape = shapes.get(key, (C, C))
-                    value = _glorot(rng, shape, *shape, self.dtype)
-                else:
-                    value = np.full(shapes.get(key, (C,)), float(key.endswith("_g")))
-                layer[key] = self._param(f"{prefix}.l{i}.{key}", value)
-            params.layers.append(layer)
-        # small weights + (1...1, 0...0) bias start near identity modulation
-        # while still letting gradient reach the generator stack
-        params.head_w = self._param(
-            f"{prefix}.head_w", 0.01 * _glorot(rng, (C, 2 * C), C, 2 * C, self.dtype))
-        params.head_b = self._param(
-            f"{prefix}.head_b", np.concatenate([np.ones(C), np.zeros(C)]).astype(self.dtype))
-        return params
-
-    def _build(self, rng):
-        for name, cout, width, cin, film_channels in self.config.layer_table():
-            self._add_conv(rng, f"{name}.conv", cout, width, cin)
-            if film_channels is not None:
-                self.films[name] = self._add_afilm(rng, f"{name}.film", film_channels)
-        # start the correction branch near zero so the initial model is
-        # approximately the identity on its (already upsampled) input
-        self.params["final.conv.w"].data *= 0.01
+        for name, shape in param_shapes(config).items():
+            value = (_initial_value(rng, name, shape, self.dtype) if state is None
+                     else self._checked(state, name, shape))
+            self.params[name] = Tensor(value, requires_grad=True)
+        p = self.params
+        self.films = {                # level name -> AfilmParams
+            level: AfilmParams(
+                layers=[{key: p[f"{level}.film.l{i}.{key}"] for key in AFILM_LAYER_PARAMS}
+                        for i in range(config.transformer_layers)],
+                head_w=p[f"{level}.film.head_w"], head_b=p[f"{level}.film.head_b"],
+                heads=config.heads)
+            for level, *_, C in config.layer_table() if C is not None}
 
     # ---- parameter access ------------------------------------------------
+
+    def _checked(self, tensors, name, shape):
+        if name not in tensors:
+            raise MissingTensorError(f"checkpoint is missing tensor '{name}'")
+        if tuple(tensors[name].shape) != tuple(shape):
+            raise ShapeError(f"tensor '{name}' has shape {tuple(tensors[name].shape)} in the "
+                             f"checkpoint but {tuple(shape)} in the model")
+        return np.ascontiguousarray(tensors[name], dtype=self.dtype)
 
     def zero_grad(self):
         for p in self.params.values():
@@ -256,23 +275,14 @@ class Model:
 
     def load_state(self, tensors):
         for name, p in self.params.items():
-            if name not in tensors:
-                raise KeyError(f"checkpoint is missing tensor '{name}'")
-            arr = tensors[name]
-            if tuple(arr.shape) != tuple(p.data.shape):
-                raise ShapeError(
-                    f"tensor '{name}' has shape {tuple(arr.shape)} in the "
-                    f"checkpoint but {tuple(p.data.shape)} in the model")
-            p.data = np.ascontiguousarray(arr, dtype=self.dtype)
+            p.data = self._checked(tensors, name, p.data.shape)
 
     def force_identity_heads(self):
         """Pin every modulation head to gamma == 1, beta == 0 exactly, which
         reduces the network to the plain convolutional U-Net."""
         for film in self.films.values():
-            C = film.head_w.data.shape[0]
             film.head_w.data[:] = 0
-            film.head_b.data[:C] = 1
-            film.head_b.data[C:] = 0
+            film.head_b.data[:] = np.repeat([1.0, 0.0], film.head_w.data.shape[0])
 
     # ---- forward ---------------------------------------------------------
 
@@ -286,17 +296,18 @@ class Model:
                 f"expected input shape (..., {cfg.patch_length}, 1), got {x.data.shape}")
         B = cfg.blocks
 
+        def conv(level, h, stride):
+            return conv1d(h, self.params[f"{level}.conv.w"], self.params[f"{level}.conv.b"], stride)
+
         skips = []
         h = x
         for k in range(1, K + 1):
-            h = conv1d(h, self.params[f"down{k}.conv.w"],
-                       self.params[f"down{k}.conv.b"], stride=2).relu()
+            h = conv(f"down{k}", h, 2).relu()
             if use_afilm:
                 h = afilm_layer(h, self.films[f"down{k}"], B)
             skips.append(h)
 
-        h = conv1d(h, self.params["bottleneck.conv.w"],
-                   self.params["bottleneck.conv.b"], stride=2)
+        h = conv("bottleneck", h, 2)
         if train and cfg.dropout_rate > 0.0:
             if dropout_rng is None:
                 raise ValueError("training forward pass needs a dropout RNG")
@@ -306,15 +317,13 @@ class Model:
             h = afilm_layer(h, self.films["bottleneck"], B)
 
         for k in range(1, K + 1):
-            h = conv1d(h, self.params[f"up{k}.conv.w"],
-                       self.params[f"up{k}.conv.b"], stride=1).relu()
+            h = conv(f"up{k}", h, 1).relu()
             h = subpixel_shuffle_1d(h, 2)
             if use_afilm:
                 h = afilm_layer(h, self.films[f"up{k}"], B)
             h = concat([h, skips[K - k]], axis=-1)
 
-        h = conv1d(h, self.params["final.conv.w"], self.params["final.conv.b"],
-                   stride=1)
+        h = conv("final", h, 1)
         h = subpixel_shuffle_1d(h, 2)
         return h + x
 

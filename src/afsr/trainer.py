@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import tensorio
-from .model import Model, ModelConfig, count_parameters
+from .model import Model, ModelConfig
 from .optim import AdamState, adam_step
 from .tensor import ShapeError, Tensor
 
@@ -197,12 +197,10 @@ def load_checkpoint(path):
                       opt_m=opt_m, opt_v=opt_v, meta=meta)
 
 
-def restore_model(ckpt, dtype=np.float32):
-    """Build a Model from a checkpoint; shape disagreements are reported
-    with the tensor name."""
-    model = Model(ckpt.config, seed=0, dtype=dtype)
-    model.load_state(ckpt.params)
-    return model
+def restore_model(ckpt):
+    """The checkpoint's Model: it takes over the parameter arrays, drawing and
+    allocating none, and names any missing or misshapen tensor."""
+    return Model(ckpt.config, state=ckpt.params)
 
 
 def restore_state(ckpt):

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from afsr import archive, wavio
+from afsr import archive, tensorio, trainer, wavio
 from afsr.cli import main, parse_config_file
 from afsr.model import Model, ModelConfig
 from afsr.optim import AdamState
@@ -357,6 +357,17 @@ class TestInferCommand:
         assert main(["infer", "--ckpt", trained_run, "--in", str(src),
                      "--out", str(tmp_path / "o.wav"), "--scale", "2"]) == 2
 
+    def test_checkpoint_missing_a_tensor_exits_2(self, tmp_path, trained_run, capsys):
+        tensors = tensorio.read_tensors(trained_run)
+        del tensors["final.conv.b"]
+        ckpt = str(tmp_path / "cut.afsr")
+        tensorio.write_tensors(ckpt, tensors)
+        src = str(tmp_path / "in.wav")
+        wavio.write_wav(src, np.zeros(8000), 8000)
+        assert main(["infer", "--ckpt", ckpt, "--in", src,
+                     "--out", str(tmp_path / "o.wav"), "--scale", "2"]) == 2
+        assert "final.conv.b" in capsys.readouterr().err
+
 
 class TestSpectrogramCommand:
     def test_csv_dominant_bin(self, tmp_path):
@@ -396,6 +407,20 @@ class TestSpectrogramCommand:
 class TestExitCodes:
     def test_unknown_subcommand_exits_1(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("command, input_flag", [("infer", "--in"), ("eval", "--data")])
+    def test_missing_input_exits_2_before_the_checkpoint_is_read(
+            self, tmp_path, monkeypatch, command, input_flag):
+        def load_checkpoint(path):
+            raise AssertionError("checkpoint read before the input was checked")
+        monkeypatch.setattr(trainer, "load_checkpoint", load_checkpoint)
+        ckpt = tmp_path / "ck.afsr"
+        ckpt.write_bytes(b"")
+        args = [command, "--ckpt", str(ckpt), input_flag, str(tmp_path / "absent"),
+                "--scale", "2"]
+        if command == "infer":
+            args += ["--out", str(tmp_path / "o.wav")]
+        assert main(args) == 2
 
     def test_missing_required_argument_exits_1(self):
         assert main(["prepare", "--in", "x"]) == 1

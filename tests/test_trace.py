@@ -7,6 +7,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
+import afsr.trainer  # noqa: E402
+from afsr.model import Model, ModelConfig  # noqa: E402
+from afsr.optim import AdamState  # noqa: E402
 from perfbench.trace import Tracer  # noqa: E402
 
 
@@ -22,3 +25,18 @@ def test_install_then_uninstall_restores_every_attribute():
         tracer.uninstall()
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, attr
+
+
+def test_restored_model_parameters_have_levels(tmp_path):
+    cfg = ModelConfig(depth=2, blocks=4, transformer_layers=1, heads=2, ffn_hidden=8,
+                      dropout_rate=0.0, patch_length=256, width_mult=1.0 / 32.0)
+    path = str(tmp_path / "ck.afsr")
+    afsr.trainer.save_checkpoint(path, Model(cfg), AdamState(), 0, 0)
+    tracer = Tracer(16000)
+    tracer.install()
+    try:
+        model = afsr.trainer.restore_model(afsr.trainer.load_checkpoint(path))
+    finally:
+        tracer.uninstall()
+    assert {name: tracer.level_of.get(id(p)) for name, p in model.params.items()} == \
+        {name: name.split(".", 1)[0] for name in model.params}

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from afsr import tensorio
 from afsr.dsp import PatchSet
-from afsr.model import Model, ModelConfig
+from afsr.model import Model, ModelConfig, param_shapes
 from afsr.optim import AdamState
 from afsr.tensor import ShapeError, Tensor
 from afsr.trainer import (Checkpoint, TrainConfig, TrainingDiverged,
@@ -234,6 +236,36 @@ class TestCheckpointing:
         ckpt.params["final.conv.b"] = np.zeros(7, dtype=np.float32)
         with pytest.raises(ShapeError, match="final.conv.b"):
             restore_model(ckpt)
+
+    def test_parameter_table_matches_model_and_checkpoint(self, tmp_path):
+        cfg = small_config()
+        model = Model(cfg, seed=0)
+        path = str(tmp_path / "ck.bin")
+        save_checkpoint(path, model, AdamState(), epoch=0, seed=0)
+        ckpt = load_checkpoint(path)
+        shapes = param_shapes(cfg)
+        assert list(shapes) == list(model.params) == list(ckpt.params)
+        assert shapes == {k: p.data.shape for k, p in model.params.items()}
+        restored = restore_model(ckpt)
+        for k, p in restored.params.items():
+            assert np.shares_memory(p.data, ckpt.params[k]), k
+
+    def test_restore_allocates_no_parameter_arrays(self, tmp_path):
+        # criterion-7 desk config
+        cfg = ModelConfig(depth=2, blocks=16, transformer_layers=1, heads=2,
+                          ffn_hidden=64, dropout_rate=0.0, patch_length=2048,
+                          width_mult=0.25)
+        path = str(tmp_path / "ck.bin")
+        save_checkpoint(path, Model(cfg, seed=0), AdamState(), epoch=0, seed=0)
+        ckpt = load_checkpoint(path)
+        param_bytes = sum(arr.nbytes for arr in ckpt.params.values())
+        tracemalloc.start()
+        try:
+            restore_model(ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * param_bytes, (peak, param_bytes)
 
     def test_resume_matches_uninterrupted_run(self, tmp_path, rng):
         patches = make_patches(rng)
