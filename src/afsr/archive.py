@@ -21,12 +21,24 @@ def write_patch_archive(path, patches):
     tensorio.write_tensors(path, tensors, magic=tensorio.PATCH_MAGIC)
 
 
+def _check_shapes(tensors, shapes):
+    for key, shape in shapes.items():
+        if tensors[key].shape != shape:
+            raise tensorio.ContainerFormatError(
+                f"archive tensor '{key}' has shape {tensors[key].shape}, expected {shape}")
+
+
 def read_patch_archive(path):
+    """A PatchSet whose P patch pairs are `(P, patch_length)` and whose
+    `file_index` and `offset` are `(P,)`; any other shape is a format error."""
     tensors = tensorio.read_tensors(path, magic=tensorio.PATCH_MAGIC)
     for key in ("lo", "hi", "file_index", "offset",
                 "meta.patch_length", "meta.sample_rate_hz", "meta.scale"):
         if key not in tensors:
             raise tensorio.ContainerFormatError(f"archive lacks tensor '{key}'")
+    _check_shapes(tensors, {"meta.patch_length": (), "meta.sample_rate_hz": (), "meta.scale": ()})
+    P, L = tensors["file_index"].size, int(tensors["meta.patch_length"])
+    _check_shapes(tensors, {"file_index": (P,), "offset": (P,), "lo": (P, L), "hi": (P, L)})
     return PatchSet(
         lo=tensors["lo"],
         hi=tensors["hi"],

@@ -3,7 +3,7 @@
 Exit codes: 0 success; 1 usage error, unknown config key or unparsable
 config value; 2 data error or out-of-range config or flag value; 3
 numeric abort. The environment variable AFSR_SEED overrides the
-configured seed.
+configured seed and is parsed as a config value.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__, archive, dsp, metrics, trainer, wavio
-from .model import Model, ModelConfig, count_parameters, run_patched
+from .model import Model, ModelConfig, check_ranges, count_parameters, run_patched
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,11 +56,16 @@ def parse_config_file(path):
             val = val.strip()
             if key not in CONFIG_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-            try:
-                values[key] = CONFIG_TYPES[key](val)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {exc}")
+            values[key] = parse_value(f"{path}:{lineno}", key, val)
     return values
+
+
+def parse_value(where, key, text):
+    """`text` as config key `key`'s type; a ConfigError names `where`."""
+    try:
+        return CONFIG_TYPES[key](text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for '{key}': {exc}")
 
 
 def resolve_configs(file_values, patch_length, scale):
@@ -70,7 +75,7 @@ def resolve_configs(file_values, patch_length, scale):
     train_cfg = trainer.TrainConfig(
         **{k: v for k, v in file_values.items() if k not in model_names})
     if "AFSR_SEED" in os.environ:
-        train_cfg.seed = int(os.environ["AFSR_SEED"])
+        train_cfg.seed = parse_value("AFSR_SEED", "seed", os.environ["AFSR_SEED"])
     return model_cfg, train_cfg
 
 
@@ -102,17 +107,10 @@ def _list_wavs(directory):
 # ---- commands ------------------------------------------------------------
 
 
-def _check_flags(args, ranges):
-    """Reject out-of-range flag values before any file is read or written."""
-    for flag, ok, bound in ranges:
-        if not ok:
-            raise DataError(f"--{flag} must be {bound}, got {getattr(args, flag)}")
-
-
 def cmd_prepare(args):
-    _check_flags(args, (("scale", args.scale >= 2, ">= 2"),
+    check_ranges(args, (("scale", args.scale >= 2, ">= 2"),
                         ("patch", args.patch >= 2, ">= 2"),
-                        ("stride", args.stride >= 0, ">= 0 (0: half the patch)")))
+                        ("stride", args.stride >= 0, ">= 0 (0: half the patch)")), "--")
     names = _list_wavs(args.input)
     stride = args.stride if args.stride else args.patch // 2
     os.makedirs(args.output, exist_ok=True)
@@ -197,8 +195,8 @@ def _load_model(path, scale, verb):
 
 
 def cmd_eval(args):
-    _check_flags(args, (("frame", args.frame >= 1, ">= 1"),
-                        ("hop", args.hop >= 1, ">= 1")))
+    check_ranges(args, (("frame", args.frame >= 1, ">= 1"),
+                        ("hop", args.hop >= 1, ">= 1")), "--")
     names = _list_wavs(args.data)
     model = _load_model(args.ckpt, args.scale, "evaluate")
     files = [os.path.join(args.data, n) for n in names]
@@ -244,8 +242,8 @@ def write_pgm(path, matrix):
 
 
 def cmd_spectrogram(args):
-    _check_flags(args, (("frame", args.frame >= 1, ">= 1"),
-                        ("hop", args.hop >= 1, ">= 1")))
+    check_ranges(args, (("frame", args.frame >= 1, ">= 1"),
+                        ("hop", args.hop >= 1, ">= 1")), "--")
     if not os.path.exists(args.input):
         raise DataError(f"input WAV not found: {args.input}")
     samples, rate = wavio.read_wav(args.input)

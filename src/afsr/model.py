@@ -21,6 +21,13 @@ from .tensor import (DivisibilityError, ShapeError, Tensor, concat, conv1d,
                      dropout, layer_norm, max_pool_blocks, no_grad, softmax)
 
 
+def check_ranges(obj, rows, prefix=""):
+    """Raise ValueError for the first (name, ok, bound) row whose check fails."""
+    for name, ok, bound in rows:
+        if not ok:
+            raise ValueError(f"{prefix}{name} must be {bound}, got {getattr(obj, name)}")
+
+
 @dataclass
 class ModelConfig:
     """Architecture hyperparameters.
@@ -41,16 +48,13 @@ class ModelConfig:
     width_mult: float = 1.0
 
     def validate(self):
-        ranges = (("depth", self.depth >= 1, ">= 1"),
-                  ("blocks", self.blocks >= 1, ">= 1"),
-                  ("transformer_layers", self.transformer_layers >= 0, ">= 0"),
-                  ("heads", self.heads >= 1, ">= 1"),
-                  ("ffn_hidden", self.ffn_hidden >= 1, ">= 1"),
-                  ("dropout_rate", 0.0 <= self.dropout_rate < 1.0, "in [0, 1)"),
-                  ("width_mult", self.width_mult > 0.0, "> 0"))
-        for name, ok, bound in ranges:
-            if not ok:
-                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)}")
+        check_ranges(self, (("depth", self.depth >= 1, ">= 1"),
+                            ("blocks", self.blocks >= 1, ">= 1"),
+                            ("transformer_layers", self.transformer_layers >= 0, ">= 0"),
+                            ("heads", self.heads >= 1, ">= 1"),
+                            ("ffn_hidden", self.ffn_hidden >= 1, ">= 1"),
+                            ("dropout_rate", 0.0 <= self.dropout_rate < 1.0, "in [0, 1)"),
+                            ("width_mult", self.width_mult > 0.0, "> 0")))
         if self.patch_length % (2 ** (self.depth + 1)) != 0:
             raise DivisibilityError(
                 f"patch length {self.patch_length} is not divisible by "
@@ -333,24 +337,19 @@ def count_parameters(model):
     return sum(int(p.data.size) for p in model.params.values())
 
 
-def run_patched(model, samples):
-    """Enhance an arbitrary-length signal patch by patch.
+# Windows per `Model.forward` call in `run_patched`: a full-size window holds
+# about 8-13 MiB of activations, so a call stays near 100 MiB at any length.
+WINDOWS_PER_FORWARD = 8
 
-    The signal is cut into back-to-back, non-overlapping windows of T0
-    samples; the last one is zero-padded to T0 and its output trimmed, so
-    the result has the input's length. Every window edge is a seam: the
-    model sees no context across it.
-    """
-    T0 = model.config.patch_length
-    samples = np.asarray(samples)
-    n = len(samples)
-    out = np.empty(n, dtype=np.float64)
+
+def run_patched(model, samples):
+    """Enhance a signal in back-to-back, zero-padded T0 windows, WINDOWS_PER_FORWARD
+    per batch; each window edge stays a seam. Returns float64 of the input's length."""
+    T0, n = model.config.patch_length, len(samples)
+    windows = np.pad(np.asarray(samples, dtype=model.dtype), (0, -n % T0)).reshape(-1, T0, 1)
+    out = np.empty(windows.shape, dtype=np.float64)
     with no_grad():
-        for start in range(0, n, T0):
-            chunk = samples[start:start + T0]
-            if len(chunk) < T0:
-                chunk = np.concatenate([chunk, np.zeros(T0 - len(chunk))])
-            x = Tensor(np.asarray(chunk, dtype=model.dtype).reshape(T0, 1))
-            y = model.forward(x).data.reshape(-1)
-            out[start:start + T0] = y[:n - start]
-    return out
+        for i in range(0, len(windows), WINDOWS_PER_FORWARD):
+            group = slice(i, i + WINDOWS_PER_FORWARD)
+            out[group] = model.forward(Tensor(windows[group])).data
+    return out.reshape(-1)[:n]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import tensorio
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, check_ranges
 from .optim import AdamState, adam_step
 from .tensor import ShapeError, Tensor
 
@@ -39,18 +39,15 @@ class TrainConfig:
     checkpoint_every: int = 0     # epochs between checkpoints; 0 = only final
 
     def validate(self):
-        ranges = (("epochs", self.epochs >= 0, ">= 0"),
-                  ("batch_size", self.batch_size >= 1, ">= 1"),
-                  ("learning_rate", self.learning_rate > 0, "> 0"),
-                  ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
-                  ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
-                  ("eps", self.eps > 0, "> 0"),
-                  ("seed", self.seed >= 0, ">= 0"),
-                  ("max_steps", self.max_steps >= 0, ">= 0"),
-                  ("checkpoint_every", self.checkpoint_every >= 0, ">= 0"))
-        for name, ok, bound in ranges:
-            if not ok:
-                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)}")
+        check_ranges(self, (("epochs", self.epochs >= 0, ">= 0"),
+                            ("batch_size", self.batch_size >= 1, ">= 1"),
+                            ("learning_rate", self.learning_rate > 0, "> 0"),
+                            ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+                            ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+                            ("eps", self.eps > 0, "> 0"),
+                            ("seed", self.seed >= 0, ">= 0"),
+                            ("max_steps", self.max_steps >= 0, ">= 0"),
+                            ("checkpoint_every", self.checkpoint_every >= 0, ">= 0")))
 
 
 def mse_loss(pred, target):
@@ -170,6 +167,14 @@ def save_checkpoint(path, model, state, epoch, seed):
     tensorio.write_tensors(path, tensors, magic=tensorio.CHECKPOINT_MAGIC)
 
 
+def _scalar(name, arr):
+    """A 0-d `__meta__` or `__cfg__` entry as a float."""
+    if arr.shape != ():
+        raise tensorio.ContainerFormatError(
+            f"checkpoint entry '{name}' has shape {arr.shape}, expected ()")
+    return float(arr)
+
+
 def load_checkpoint(path):
     """Read a checkpoint file into a Checkpoint record."""
     tensors = tensorio.read_tensors(path, magic=tensorio.CHECKPOINT_MAGIC)
@@ -180,9 +185,9 @@ def load_checkpoint(path):
         elif name.startswith(OPT_V_PREFIX):
             opt_v[name[len(OPT_V_PREFIX):]] = arr
         elif name.startswith(META_PREFIX):
-            meta[name[len(META_PREFIX):]] = float(arr)
+            meta[name[len(META_PREFIX):]] = _scalar(name, arr)
         elif name.startswith(CFG_PREFIX):
-            cfg_vals[name[len(CFG_PREFIX):]] = float(arr)
+            cfg_vals[name[len(CFG_PREFIX):]] = _scalar(name, arr)
         else:
             params[name] = arr
     model_fields = fields(ModelConfig)
@@ -191,6 +196,10 @@ def load_checkpoint(path):
         raise tensorio.ContainerFormatError(
             f"checkpoint lacks config entries: {missing}")
     # every value is stored as float32; each field's default gives its type
+    for f in model_fields:
+        if type(f.default) is int and not cfg_vals[f.name].is_integer():
+            raise tensorio.ContainerFormatError(
+                f"checkpoint entry '{CFG_PREFIX}{f.name}' is {cfg_vals[f.name]}, not an integer")
     config = ModelConfig(**{f.name: type(f.default)(cfg_vals[f.name])
                             for f in model_fields})
     return Checkpoint(config=config, params=params,

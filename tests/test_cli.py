@@ -5,6 +5,7 @@ import pytest
 
 from afsr import archive, tensorio, trainer, wavio
 from afsr.cli import main, parse_config_file
+from afsr.dsp import PatchSet
 from afsr.model import Model, ModelConfig
 from afsr.optim import AdamState
 from afsr.trainer import load_checkpoint, restore_model, save_checkpoint
@@ -254,6 +255,36 @@ class TestTrainCommand:
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         assert manifest["seed"] == 77
 
+    def test_unparsable_seed_env_exits_1_naming_it(self, tmp_path, corpus, monkeypatch,
+                                                   capsys):
+        arch = self._prepare(tmp_path, corpus)
+        monkeypatch.setenv("AFSR_SEED", "abc")
+        assert main(["train", "--data", arch, "--out", str(tmp_path / "run"),
+                     "--epochs", "0"]) == 1
+        assert "AFSR_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", ["hi", "lo", "offset", "meta.scale"])
+    def test_misshapen_archive_tensor_exits_2(self, tmp_path, rng, capsys, key):
+        good = PatchSet(lo=rng.normal(size=(8, 256)).astype(np.float32),
+                        hi=rng.normal(size=(8, 256)).astype(np.float32),
+                        file_index=np.zeros(8, dtype=np.int64),
+                        offset=np.arange(8) * 256, patch_length=256,
+                        sample_rate_hz=16000, scale=2)
+        arch = str(tmp_path / "p.afsp")
+        archive.write_patch_archive(arch, good)
+        tensors = tensorio.read_tensors(arch, magic=tensorio.PATCH_MAGIC)
+        tensors[key] = {"hi": tensors["hi"][:3], "lo": tensors["lo"].reshape(-1),
+                        "offset": tensors["offset"][:, None],
+                        "meta.scale": np.full(2, 2.0)}[key]
+        tensorio.write_tensors(arch, tensors, magic=tensorio.PATCH_MAGIC)
+        cfgp = tmp_path / "m.cfg"
+        cfgp.write_text(TINY_CONFIG)
+        assert main(["train", "--data", arch, "--out", str(tmp_path / "run"),
+                     "--config", str(cfgp), "--epochs", "1"]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 @pytest.fixture
 def trained_run(tmp_path, corpus):
@@ -368,6 +399,24 @@ class TestInferCommand:
                      "--out", str(tmp_path / "o.wav"), "--scale", "2"]) == 2
         assert "final.conv.b" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("__cfg__.depth", np.full(2, 2.0)), ("__cfg__.depth", np.float32(2.5)),
+        ("__cfg__.blocks", np.float32(np.nan)), ("__meta__.t", np.zeros((1, 1)))],
+        ids=["cfg-not-0d", "cfg-int-2.5", "cfg-int-nan", "meta-not-0d"])
+    def test_malformed_checkpoint_entry_exits_2(self, tmp_path, trained_run, capsys,
+                                                key, value):
+        tensors = tensorio.read_tensors(trained_run)
+        tensors[key] = value
+        ckpt = str(tmp_path / "bad.afsr")
+        tensorio.write_tensors(ckpt, tensors)
+        src = str(tmp_path / "in.wav")
+        wavio.write_wav(src, np.zeros(8000), 8000)
+        dst = tmp_path / "o.wav"
+        assert main(["infer", "--ckpt", ckpt, "--in", src,
+                     "--out", str(dst), "--scale", "2"]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not dst.exists()
+
 
 class TestSpectrogramCommand:
     def test_csv_dominant_bin(self, tmp_path):
@@ -452,3 +501,37 @@ class TestExitCodes:
         assert main(args + [flag, value]) == 2
         assert f"{flag} must be" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+class TestReadmeTables:
+    """README's config-key and flag tables agree with the code."""
+
+    @staticmethod
+    def table(header):
+        lines = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        rows = lines.split(header + "\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        return [[cell.strip() for cell in row.strip("|").split("|")]
+                for row in rows.splitlines()]
+
+    def test_config_keys_and_defaults(self):
+        from dataclasses import fields
+        from afsr.cli import ARCHIVE_KEYS, CONFIG_TYPES
+        documented = {}
+        for keys, defaults, _ in self.table("| key | default | valid range |"):
+            for key, default in zip(keys.split(", "), defaults.split(", "), strict=True):
+                key = key.strip("`")
+                assert key in CONFIG_TYPES, key
+                documented[key] = CONFIG_TYPES[key](default)
+        want = {f.name: f.default for cls in (ModelConfig, trainer.TrainConfig)
+                for f in fields(cls) if f.name not in ARCHIVE_KEYS}
+        assert documented == want
+
+    def test_flag_defaults(self):
+        from afsr.cli import build_parser
+        commands = build_parser()._subparsers._group_actions[0].choices
+        rows = self.table("| flag | default | valid range |")
+        assert rows
+        for flag, default, _ in rows:
+            command, option = flag.strip("`").split()
+            action, = [a for a in commands[command]._actions if option in a.option_strings]
+            assert default == ("(required)" if action.required else str(action.default)), flag

@@ -370,6 +370,55 @@ class TestModelForward:
         assert np.allclose(out, sig.astype(np.float32), atol=1e-7)
 
 
+def per_window_oracle(model, samples):
+    """`run_patched` one window per forward: zero-pad each T0 window, forward
+    it alone without a batch axis, trim the last."""
+    T0 = model.config.patch_length
+    outs = [np.zeros(0)]
+    with no_grad():
+        for start in range(0, len(samples), T0):
+            chunk = samples[start:start + T0]
+            if len(chunk) < T0:
+                chunk = np.concatenate([chunk, np.zeros(T0 - len(chunk))])
+            x = Tensor(np.asarray(chunk, dtype=model.dtype).reshape(T0, 1))
+            outs.append(model.forward(x).data.reshape(-1).astype(np.float64))
+    return np.concatenate(outs)[:len(samples)]
+
+
+class TestRunPatched:
+    T0 = tiny_config().patch_length
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_per_window_oracle_bytewise(self, rng, dtype):
+        model = Model(tiny_config(), seed=3, dtype=dtype)
+        T0 = self.T0
+        for n in (1, 100, T0 - 1, T0, T0 + 1, 8 * T0, 8 * T0 + 1, 17 * T0 + 5):
+            sig = rng.normal(size=n) * 0.1
+            out = run_patched(model, sig)
+            assert out.dtype == np.float64 and out.shape == (n,)
+            assert out.tobytes() == per_window_oracle(model, sig).tobytes(), n
+
+    def test_empty_signal(self):
+        out = run_patched(Model(tiny_config(), seed=0), np.zeros(0))
+        assert out.dtype == np.float64 and out.shape == (0,)
+
+    @pytest.mark.parametrize("windows", [1, 8, 9, 17])
+    def test_windows_go_through_the_batch_axis_in_bounded_groups(
+            self, monkeypatch, windows):
+        model = Model(tiny_config(), seed=0)
+        batches = []
+        forward = Model.forward
+
+        def counting_forward(self, x, *args, **kwargs):
+            batches.append(x.data.shape[0])
+            return forward(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "forward", counting_forward)
+        run_patched(model, np.ones(windows * self.T0 - 3) * 0.01)
+        assert len(batches) == -(-windows // 8)
+        assert max(batches) <= 8 and sum(batches) == windows
+
+
 class TestParameterCount:
     def test_single_conv_block_count(self):
         # one conv of 128 filters, length 65, 1 input channel, plus bias
