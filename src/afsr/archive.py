@@ -28,25 +28,34 @@ def _check_shapes(tensors, shapes):
                 f"archive tensor '{key}' has shape {tensors[key].shape}, expected {shape}")
 
 
+def _meta_int(tensors, key, least):
+    value = float(tensors[key])
+    if not value.is_integer() or value < least:
+        raise tensorio.ContainerFormatError(
+            f"archive entry '{key}' is {value}, expected an integer >= {least}")
+    return int(value)
+
+
 def read_patch_archive(path):
     """A PatchSet whose P patch pairs are `(P, patch_length)` and whose
-    `file_index` and `offset` are `(P,)`; any other shape is a format error."""
+    `file_index` and `offset` are `(P,)`; any other shape, or a `meta.*`
+    entry that is not an integer in range, is a format error."""
     tensors = tensorio.read_tensors(path, magic=tensorio.PATCH_MAGIC)
     for key in ("lo", "hi", "file_index", "offset",
                 "meta.patch_length", "meta.sample_rate_hz", "meta.scale"):
         if key not in tensors:
             raise tensorio.ContainerFormatError(f"archive lacks tensor '{key}'")
     _check_shapes(tensors, {"meta.patch_length": (), "meta.sample_rate_hz": (), "meta.scale": ()})
-    P, L = tensors["file_index"].size, int(tensors["meta.patch_length"])
+    P, L = tensors["file_index"].size, _meta_int(tensors, "meta.patch_length", 1)
+    rate = _meta_int(tensors, "meta.sample_rate_hz", 1)
+    scale = _meta_int(tensors, "meta.scale", 2)  # as `prepare --scale` requires
     _check_shapes(tensors, {"file_index": (P,), "offset": (P,), "lo": (P, L), "hi": (P, L)})
     return PatchSet(
         lo=tensors["lo"],
         hi=tensors["hi"],
         file_index=tensors["file_index"].astype(np.int64),
         offset=tensors["offset"].astype(np.int64),
-        patch_length=int(tensors["meta.patch_length"]),
-        sample_rate_hz=int(tensors["meta.sample_rate_hz"]),
-        scale=int(tensors["meta.scale"]),
+        patch_length=L, sample_rate_hz=rate, scale=scale,
     )
 
 

@@ -403,8 +403,8 @@ def conv1d(x, kernels, bias, stride=1):
         if kernels.requires_grad:
             # rebuilt rather than kept from forward: the buffer is W / stride
             # times the input's size, and only this product needs it
-            gk = reduce(iadd, (_im2col(xn, width, stride).T @ gn for xn, gn in zip(xs, gs)))
-            kernels._accumulate(gk.T.reshape(cout, width, cin))
+            gk = reduce(iadd, (gn.T @ _im2col(xn, width, stride) for xn, gn in zip(xs, gs)))
+            kernels._accumulate(gk.reshape(cout, width, cin))
         if x.requires_grad:
             pad = width // 2
             gxp = np.zeros((len(xs), T + 2 * pad, cin), dtype=x.data.dtype)

@@ -264,8 +264,10 @@ class TestTrainCommand:
         assert "AFSR_SEED" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("key", ["hi", "lo", "offset", "meta.scale"])
-    def test_misshapen_archive_tensor_exits_2(self, tmp_path, rng, capsys, key):
+    @staticmethod
+    def _train_on_edited_archive(tmp_path, rng, capsys, key, edit):
+        """`afsr train` on an 8-patch archive whose tensor `key` is replaced
+        by `edit(tensors)`: exit 2, the tensor named, no run directory."""
         good = PatchSet(lo=rng.normal(size=(8, 256)).astype(np.float32),
                         hi=rng.normal(size=(8, 256)).astype(np.float32),
                         file_index=np.zeros(8, dtype=np.int64),
@@ -274,9 +276,7 @@ class TestTrainCommand:
         arch = str(tmp_path / "p.afsp")
         archive.write_patch_archive(arch, good)
         tensors = tensorio.read_tensors(arch, magic=tensorio.PATCH_MAGIC)
-        tensors[key] = {"hi": tensors["hi"][:3], "lo": tensors["lo"].reshape(-1),
-                        "offset": tensors["offset"][:, None],
-                        "meta.scale": np.full(2, 2.0)}[key]
+        tensors[key] = edit(tensors)
         tensorio.write_tensors(arch, tensors, magic=tensorio.PATCH_MAGIC)
         cfgp = tmp_path / "m.cfg"
         cfgp.write_text(TINY_CONFIG)
@@ -284,6 +284,20 @@ class TestTrainCommand:
                      "--config", str(cfgp), "--epochs", "1"]) == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", ["hi", "lo", "offset", "meta.scale"])
+    def test_misshapen_archive_tensor_exits_2(self, tmp_path, rng, capsys, key):
+        self._train_on_edited_archive(
+            tmp_path, rng, capsys, key,
+            lambda t: {"hi": t["hi"][:3], "lo": t["lo"].reshape(-1),
+                       "offset": t["offset"][:, None], "meta.scale": np.full(2, 2.0)}[key])
+
+    @pytest.mark.parametrize("key,value", [("meta.scale", 2.5), ("meta.scale", 0.0),
+                                           ("meta.sample_rate_hz", -5.0),
+                                           ("meta.sample_rate_hz", np.nan),
+                                           ("meta.patch_length", 256.5)])
+    def test_meta_entry_out_of_range_exits_2(self, tmp_path, rng, capsys, key, value):
+        self._train_on_edited_archive(tmp_path, rng, capsys, key, lambda t: np.float32(value))
 
 
 @pytest.fixture

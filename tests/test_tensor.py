@@ -1,10 +1,14 @@
+import math
+from functools import reduce
+from operator import iadd
+
 import numpy as np
 import pytest
 
 from conftest import check_gradients, finite_difference, graph_nodes, max_rel_err
 
-from afsr.optim import AdamState, adam_step
-from afsr.tensor import (DivisibilityError, ShapeError, Tensor, concat,
+from afsr.optim import CHUNK, AdamState, adam_step
+from afsr.tensor import (DivisibilityError, ShapeError, Tensor, _im2col, concat,
                          conv1d, dropout, layer_norm,
                          max_pool_blocks, no_grad, softmax)
 from afsr.trainer import mse_loss
@@ -74,6 +78,22 @@ class TestConv1d:
             conv1d(x, Tensor(np.zeros((3, 4, 2))), b)
         with pytest.raises(ShapeError, match="bias"):
             conv1d(x, Tensor(np.zeros((3, 3, 2))), Tensor(np.zeros(5)))
+
+
+class TestConv1dKernelGradient:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_equals_transposed_product_bytewise(self, rng, stride, dtype):
+        # the kernel gradient as (im2col.T @ g).T, summed over the batch
+        x = rng.normal(size=(3, 200, 24)).astype(dtype)
+        k = Tensor(rng.normal(size=(12, 9, 24)), requires_grad=True, dtype=dtype)
+        out = conv1d(Tensor(x, dtype=dtype), k, Tensor(np.zeros(12), dtype=dtype), stride=stride)
+        g = rng.normal(size=out.data.shape).astype(dtype)
+        (out * Tensor(g, dtype=dtype)).sum().backward()
+        gk = reduce(iadd, (_im2col(xn, 9, stride).T @ gn for xn, gn in zip(x, g)))
+        want = gk.T.reshape(12, 9, 24)
+        assert k.grad.dtype == want.dtype and k.grad.shape == want.shape
+        assert k.grad.tobytes() == want.tobytes()
 
 
 class TestSoftmax:
@@ -364,6 +384,96 @@ class TestAdam:
         # a few float32 ulps of the larger of the parameter and the step size
         ulp = np.spacing(np.maximum(np.abs(ref), 0.1).astype(np.float32)).astype(np.float64)
         assert np.all(np.abs(p.data - ref) <= 4 * ulp)
+
+
+    @staticmethod
+    def one_buffer_oracle(params, grads, state):
+        """The update with one full-size scratch array per parameter, on plain
+        arrays: the same ops in the same order as adam_step."""
+        state.t += 1
+        b1, b2 = state.beta1, state.beta2
+        step = state.learning_rate / (1.0 - b1 ** state.t)
+        inv_sqrt_c2 = 1.0 / math.sqrt(1.0 - b2 ** state.t)
+        for name, p in params.items():
+            g = grads[name]
+            if g is None:
+                continue
+            g = g.astype(p.dtype, copy=False)
+            if name not in state.m:
+                state.m[name] = np.zeros_like(p)
+                state.v[name] = np.zeros_like(p)
+            m, v = state.m[name], state.v[name]
+            buf = np.multiply(g, 1.0 - b1)
+            m *= b1
+            m += buf
+            np.multiply(g, g, out=buf)
+            buf *= 1.0 - b2
+            v *= b2
+            v += buf
+            np.sqrt(v, out=buf)
+            buf *= inv_sqrt_c2
+            buf += state.eps
+            np.divide(m, buf, out=buf)
+            buf *= step
+            p -= buf
+
+    def test_slices_equal_one_buffer_oracle_bytewise(self, rng):
+        shapes = {}
+        for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
+            shapes[f"f32.{n}"] = (np.float32, (n,))
+            shapes[f"f64.{n}"] = (np.float64, (n,))
+        shapes["f32.2d"] = (np.float32, (5, CHUNK // 4 + 3))
+        shapes["frozen"] = (np.float32, (7,))
+        shapes["f32.f64grad"] = (np.float32, (CHUNK + 9,))
+        params = {name: Tensor(rng.normal(size=shape), requires_grad=True, dtype=dtype)
+                  for name, (dtype, shape) in shapes.items()}
+        ref = {name: p.data.copy() for name, p in params.items()}
+        state, ref_state = AdamState(learning_rate=0.01), AdamState(learning_rate=0.01)
+        for _ in range(3):
+            grads = {name: rng.normal(size=shape).astype(
+                         np.float64 if name == "f32.f64grad" else dtype)
+                     for name, (dtype, shape) in shapes.items()}
+            grads["frozen"] = None
+            adam_step(params, grads, state)
+            self.one_buffer_oracle(ref, grads, ref_state)
+        assert state.t == ref_state.t == 3
+        assert "frozen" not in state.m and "frozen" not in state.v
+        assert np.array_equal(params["frozen"].data, ref["frozen"])
+        assert state.m.keys() == ref_state.m.keys() == state.v.keys()
+        for name, p in params.items():
+            assert p.data.dtype == ref[name].dtype == shapes[name][0]
+            assert p.data.tobytes() == ref[name].tobytes(), name
+            if name != "frozen":
+                assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
+                assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
+
+    def test_rejected_step_changes_nothing(self, rng):
+        params = {"a": Tensor(rng.normal(size=3), requires_grad=True),
+                  "b": Tensor(rng.normal(size=2), requires_grad=True)}
+        state = AdamState()
+        with pytest.raises(ValueError, match="'b'"):
+            adam_step(params, {"a": np.ones(3, np.float32), "b": np.ones(5, np.float32)}, state)
+        assert state.t == 0 and state.m == {} and state.v == {}
+        # the same after a step that did apply: no moment or parameter moves
+        adam_step(params, {"a": np.ones(3, np.float32), "b": np.ones(2, np.float32)}, state)
+        before = [{k: a.copy() for k, a in d.items()}
+                  for d in ({k: p.data for k, p in params.items()}, state.m, state.v)]
+        with pytest.raises(ValueError, match="'b'"):
+            adam_step(params, {"a": np.ones(3, np.float32), "b": np.ones(5, np.float32)}, state)
+        assert state.t == 1
+        after = ({k: p.data for k, p in params.items()}, state.m, state.v)
+        for old, new in zip(before, after):
+            assert old.keys() == new.keys()
+            assert all(np.array_equal(old[k], new[k]) for k in old)
+
+    def test_worker_exception_reaches_the_caller(self):
+        # slices 0 and 1 go to different workers; the second one fails
+        params = {"a": Tensor(np.zeros(CHUNK), requires_grad=True),
+                  "b": Tensor(np.zeros(CHUNK), requires_grad=True)}
+        params["b"].data.flags.writeable = False
+        grads = {name: np.ones(CHUNK, np.float32) for name in params}
+        with pytest.raises(ValueError, match="read-only"):
+            adam_step(params, grads, AdamState())
 
 
 class TestDeterminism:
