@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 from operator import iadd
 
@@ -84,16 +85,121 @@ class TestConv1dKernelGradient:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_equals_transposed_product_bytewise(self, rng, stride, dtype):
+        self.check(rng, stride, dtype, cin=24, width=9)
+
+    # Cin 512 and W 17: taps in groups of 4 with a 1-tap remainder
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_grouped_taps_equal_transposed_product_bytewise(self, rng, stride, dtype):
+        self.check(rng, stride, dtype, cin=512, width=17)
+
+    @staticmethod
+    def check(rng, stride, dtype, cin, width):
         # the kernel gradient as (im2col.T @ g).T, summed over the batch
-        x = rng.normal(size=(3, 200, 24)).astype(dtype)
-        k = Tensor(rng.normal(size=(12, 9, 24)), requires_grad=True, dtype=dtype)
+        x = rng.normal(size=(3, 200, cin)).astype(dtype)
+        k = Tensor(rng.normal(size=(12, width, cin)), requires_grad=True, dtype=dtype)
         out = conv1d(Tensor(x, dtype=dtype), k, Tensor(np.zeros(12), dtype=dtype), stride=stride)
         g = rng.normal(size=out.data.shape).astype(dtype)
         (out * Tensor(g, dtype=dtype)).sum().backward()
-        gk = reduce(iadd, (_im2col(xn, 9, stride).T @ gn for xn, gn in zip(x, g)))
-        want = gk.T.reshape(12, 9, 24)
+        gk = reduce(iadd, (_im2col(xn, width, stride).T @ gn for xn, gn in zip(x, g)))
+        want = gk.T.reshape(12, width, cin)
         assert k.grad.dtype == want.dtype and k.grad.shape == want.shape
         assert k.grad.tobytes() == want.tobytes()
+
+
+def direct_sum_float64(x, k, b, stride):
+    """(N, T, Cin) conv (Cout, W, Cin) in float64, one tap at a time, and the
+    same sum over |x| and |k|, which bounds its rounding error."""
+    x, k = x.astype(np.float64), k.astype(np.float64)
+    n, T, cin = x.shape
+    cout, width, _ = k.shape
+    pad = width // 2
+    xp = np.zeros((n, T + 2 * pad, cin))
+    xp[:, pad:pad + T] = x
+    t_out = -(-T // stride)
+    out = np.zeros((n, t_out, cout)) + b
+    mag = np.zeros((n, t_out, cout)) + np.abs(b)
+    for w in range(width):
+        rows = xp[:, w:w + (t_out - 1) * stride + 1:stride]
+        out += rows @ k[:, w].T
+        mag += np.abs(rows) @ np.abs(k[:, w]).T
+    return out, mag
+
+
+def input_grad_oracle(g, k, T, stride):
+    """The input gradient as one (T', W * Cin) product per sample,
+    scattered back tap by tap."""
+    cout, width, cin = k.shape
+    pad = width // 2
+    kmat = k.reshape(cout, width * cin).T
+    gxp = np.zeros((len(g), T + 2 * pad, cin), dtype=g.dtype)
+    for gn, gxn in zip(g, gxp):
+        gcols = (gn @ kmat.T).reshape(-1, width, cin)
+        for w in range(width):
+            gxn[w:w + (len(gn) - 1) * stride + 1:stride] += gcols[:, w, :]
+    return gxp[:, pad:pad + T]
+
+
+# (T, Cin, W, Cout), batch 3: one tap group; groups of 4 (stride 1 and 2)
+# with a 1-tap remainder; Cin 300 with odd T, groups of 7 + 2 (stride 1) or
+# 8 + 1 (stride 2); and T < W
+CONV_SHAPES = [(9, 24, 9, 4), (200, 512, 17, 12), (37, 300, 9, 5), (5, 512, 17, 6)]
+
+
+class TestConv1dTapGroups:
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_forward_within_rounding_of_float64_sum(self, rng, shape, dtype, stride):
+        T, cin, width, cout = shape
+        x = rng.normal(size=(3, T, cin)).astype(dtype)
+        k = rng.normal(size=(cout, width, cin)).astype(dtype)
+        b = rng.normal(size=cout).astype(dtype)
+        out = conv1d(Tensor(x, dtype=dtype), Tensor(k, dtype=dtype), Tensor(b, dtype=dtype),
+                     stride=stride).data
+        want, mag = direct_sum_float64(x, k, b, stride)
+        assert out.dtype == dtype and out.shape == want.shape
+        # probabilistic rounding bound of a length-n sum: a small multiple
+        # of sqrt(n) units in the last place of the sum of magnitudes
+        n = width * cin + 1
+        assert np.all(np.abs(out - want) <= 4 * math.sqrt(n) * np.finfo(dtype).eps * mag)
+
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_input_gradient_equals_full_product_bytewise(self, rng, shape, dtype, stride):
+        T, cin, width, cout = shape
+        x = Tensor(rng.normal(size=(3, T, cin)), requires_grad=True, dtype=dtype)
+        k = rng.normal(size=(cout, width, cin)).astype(dtype)
+        out = conv1d(x, Tensor(k, dtype=dtype), Tensor(np.zeros(cout), dtype=dtype), stride=stride)
+        g = rng.normal(size=out.data.shape).astype(dtype)
+        (out * Tensor(g, dtype=dtype)).sum().backward()
+        want = input_grad_oracle(g, k, T, stride)
+        assert x.grad.dtype == want.dtype and x.grad.shape == want.shape
+        assert x.grad.tobytes() == want.tobytes()
+
+    def test_finite_difference_at_a_grouped_shape(self):
+        # Cin 128, W 17: taps in groups of 16 plus a 1-tap remainder
+        arrays = [np.zeros((2, 7, 128)), np.zeros((2, 17, 128)), np.zeros(2)]
+        check_gradients(lambda ts: (conv1d(ts[0], ts[1], ts[2], stride=2) ** 2).mean(),
+                        arrays, seeds=range(2))
+
+    def test_no_grad_peak_memory_at_the_up4_shape(self):
+        # the paper config's up4 level: an im2col buffer would be
+        # 2048 x (65 * 512) float32, 260 MiB
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(1, 2048, 512)), dtype=np.float32)
+        k = Tensor(rng.normal(size=(256, 65, 512)) * 0.01, dtype=np.float32)
+        b = Tensor(np.zeros(256), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = conv1d(x, k, b, stride=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.shape == (1, 2048, 256)
+        assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestSoftmax:
