@@ -2,6 +2,8 @@
 
 Produces the aligned (low-resolution-upsampled, high-resolution) training
 pairs and the log-power spectra consumed by the metrics and the CLI.
+scipy is imported inside the three functions that call it, so importing
+this module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import interpolate, signal
 
 DEFAULT_RIPPLE_DB = 0.05
 STFT_FLOOR = 1e-10
@@ -77,6 +78,7 @@ def design_cheby1_lowpass(order, ripple_db, cutoff_normalized):
     if not 0.0 < cutoff_normalized < 1.0:
         raise ValueError(
             f"cutoff must lie in (0, 1) of Nyquist, got {cutoff_normalized}")
+    from scipy import signal
     b, a = signal.cheby1(order, ripple_db, cutoff_normalized, btype="low")
     return IIRFilter(b, a)
 
@@ -88,6 +90,7 @@ def downsample(sig, r):
     """
     if r < 2:
         raise ValueError(f"downsampling factor must be >= 2, got {r}")
+    from scipy import signal
     filt = design_cheby1_lowpass(8, DEFAULT_RIPPLE_DB, 0.8 / r)
     # forward-backward (zero-phase) filtering: the IIR's phase distortion
     # would otherwise wreck waveform-domain SNR after resampling
@@ -103,6 +106,7 @@ def cubic_upsample(sig, r):
         raise ValueError(f"need at least 4 samples to fit a cubic spline, got {n}")
     if r < 1:
         raise ValueError(f"upsampling factor must be >= 1, got {r}")
+    from scipy import interpolate
     spline = interpolate.CubicSpline(np.arange(n) * r, sig.samples, bc_type="natural")
     out = spline(np.arange(n * r))
     return AudioSignal(out, sig.sample_rate_hz * r)

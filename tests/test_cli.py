@@ -391,6 +391,22 @@ class TestInferCommand:
         samples, rate = wavio.read_wav(dst)
         assert (len(samples), rate) == (10000, 16000)
 
+    def test_non_finite_output_exits_2_and_writes_nothing(self, tmp_path, trained_run,
+                                                          monkeypatch, capsys):
+        def diverged(model, samples):
+            out = np.zeros(len(samples))
+            out[:3] = (np.nan, np.inf, -np.inf)
+            return out
+
+        monkeypatch.setattr("afsr.cli.run_patched", diverged)
+        src = str(tmp_path / "in.wav")
+        wavio.write_wav(src, np.zeros(8000), 8000)
+        dst = tmp_path / "out.wav"
+        assert main(["infer", "--ckpt", trained_run, "--in", src,
+                     "--out", str(dst), "--scale", "2"]) == 2
+        assert "3 non-finite samples" in capsys.readouterr().err
+        assert not dst.exists()
+
     def test_missing_input_exits_2(self, tmp_path, trained_run):
         assert main(["infer", "--ckpt", trained_run,
                      "--in", str(tmp_path / "no.wav"),
