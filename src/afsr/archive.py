@@ -9,31 +9,12 @@ from .dsp import PatchSet
 
 
 def write_patch_archive(path, patches):
-    tensors = {
-        "lo": patches.lo,
-        "hi": patches.hi,
-        "file_index": patches.file_index.astype(np.float32),
-        "offset": patches.offset.astype(np.float32),
-        "meta.patch_length": np.float32(patches.patch_length),
-        "meta.sample_rate_hz": np.float32(patches.sample_rate_hz),
-        "meta.scale": np.float32(patches.scale),
-    }
-    tensorio.write_tensors(path, tensors, magic=tensorio.PATCH_MAGIC)
-
-
-def _check_shapes(tensors, shapes):
-    for key, shape in shapes.items():
-        if tensors[key].shape != shape:
-            raise tensorio.ContainerFormatError(
-                f"archive tensor '{key}' has shape {tensors[key].shape}, expected {shape}")
-
-
-def _meta_int(tensors, key, least):
-    value = float(tensors[key])
-    if not value.is_integer() or value < least:
-        raise tensorio.ContainerFormatError(
-            f"archive entry '{key}' is {value}, expected an integer >= {least}")
-    return int(value)
+    tensorio.write_tensors(path, {
+        "lo": patches.lo, "hi": patches.hi,
+        "file_index": patches.file_index, "offset": patches.offset,
+        "meta.patch_length": patches.patch_length,
+        "meta.sample_rate_hz": patches.sample_rate_hz, "meta.scale": patches.scale,
+    }, magic=tensorio.PATCH_MAGIC)
 
 
 def read_patch_archive(path):
@@ -41,20 +22,15 @@ def read_patch_archive(path):
     `file_index` and `offset` are `(P,)`; any other shape, or a `meta.*`
     entry that is not an integer in range, is a format error."""
     tensors = tensorio.read_tensors(path, magic=tensorio.PATCH_MAGIC)
-    for key in ("lo", "hi", "file_index", "offset",
-                "meta.patch_length", "meta.sample_rate_hz", "meta.scale"):
-        if key not in tensors:
-            raise tensorio.ContainerFormatError(f"archive lacks tensor '{key}'")
-    _check_shapes(tensors, {"meta.patch_length": (), "meta.sample_rate_hz": (), "meta.scale": ()})
-    P, L = tensors["file_index"].size, _meta_int(tensors, "meta.patch_length", 1)
-    rate = _meta_int(tensors, "meta.sample_rate_hz", 1)
-    scale = _meta_int(tensors, "meta.scale", 2)  # as `prepare --scale` requires
-    _check_shapes(tensors, {"file_index": (P,), "offset": (P,), "lo": (P, L), "hi": (P, L)})
+    L = tensorio.integer(tensors, "meta.patch_length", 1)
+    rate = tensorio.integer(tensors, "meta.sample_rate_hz", 1)
+    scale = tensorio.integer(tensors, "meta.scale", 2)  # as `prepare --scale` requires
+    lo = tensorio.entry(tensors, "lo", (None, L))
+    P = len(lo)
     return PatchSet(
-        lo=tensors["lo"],
-        hi=tensors["hi"],
-        file_index=tensors["file_index"].astype(np.int64),
-        offset=tensors["offset"].astype(np.int64),
+        lo=lo, hi=tensorio.entry(tensors, "hi", (P, L)),
+        file_index=tensorio.entry(tensors, "file_index", (P,)).astype(np.int64),
+        offset=tensorio.entry(tensors, "offset", (P,)).astype(np.int64),
         patch_length=L, sample_rate_hz=rate, scale=scale,
     )
 

@@ -91,7 +91,8 @@ def evaluate_corpus(model, files, r, dataset="corpus", frame=2048, hop=512):
     reconstructions are scored against the same reference. Returns (model
     report, bicubic report), or (bicubic report,) when `model` is None. A file
     that fails is recorded in each report's `skipped`, never silently
-    dropped. Files are processed in sorted order for determinism.
+    dropped; model output holding NaN or inf raises ValueError naming the
+    file. Files are processed in sorted order for determinism.
     """
     reports = ([EvalReport("model", r, dataset)] if model is not None else []) \
         + [EvalReport("bicubic", r, dataset)]
@@ -106,6 +107,9 @@ def evaluate_corpus(model, files, r, dataset="corpus", frame=2048, hop=512):
             for rep in reports:
                 rep.skipped.append((path, str(exc)))
             continue
+        bad = int(np.count_nonzero(~np.isfinite(recons[0])))
+        if bad:  # a broken model, not a bad file: refuse the whole run
+            raise ValueError(f"{path}: model output holds {bad} non-finite samples (NaN or inf)")
         for rep, item in zip(reports, items):
             rep.items.append(item)
     return tuple(reports)

@@ -4,6 +4,11 @@ Layout: 4-byte magic, u32 version (always 1), u32 tensor count, then per
 tensor: u16 name length, UTF-8 name, u8 rank, u32 per dimension, raw
 32-bit little-endian floats. Used for both checkpoints and patch archives.
 
+Every value is stored as float32, ints included, and `entry` and `integer`
+are the only decoders of a stored entry. Integers above 2^24 can round: a
+patch `offset` past about 17.5 min of 16 kHz audio, and a seed above 2^24.
+Both wait for a container that stores a dtype per tensor.
+
 The reader goes through the file once, front to back. Each tensor's
 declared size is checked against the bytes left in the file before its
 array is allocated, and its data is read straight into that array, so a
@@ -84,9 +89,15 @@ def read_tensors(path, magic=CHECKPOINT_MAGIC):
             raise ContainerFormatError(
                 f"unsupported format version {version} (only {VERSION})")
         tensors = {}
-        for _ in range(count):
+        for i in range(count):
             (nlen,) = struct.unpack("<H", take(2, "name length"))
-            name = take(nlen, "name").decode("utf-8")
+            raw = take(nlen, "name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ContainerFormatError(f"name of tensor {i} is not UTF-8: {raw!r}") from None
+            if name in tensors:
+                raise ContainerFormatError(f"tensor name '{name}' appears twice")
             (rank,) = struct.unpack("<B", take(1, "rank"))
             shape = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of '{name}'"))
             if 4 * math.prod(shape) > size - fh.tell():
@@ -98,3 +109,23 @@ def read_tensors(path, magic=CHECKPOINT_MAGIC):
     if trailing:
         raise ContainerFormatError(f"{trailing} trailing bytes after last tensor")
     return tensors
+
+
+def entry(tensors, name, shape):
+    """The array stored as `name`, which must have `shape`; a None in `shape`
+    matches any length along that axis."""
+    if name not in tensors:
+        raise ContainerFormatError(f"container lacks entry '{name}'")
+    arr = tensors[name]
+    if arr.ndim != len(shape) or any(want is not None and want != got
+                                     for want, got in zip(shape, arr.shape)):
+        raise ContainerFormatError(f"entry '{name}' has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def integer(tensors, name, least):
+    """The 0-d entry `name` as an exact int >= `least`."""
+    value = float(entry(tensors, name, ()))
+    if not value.is_integer() or value < least:
+        raise ContainerFormatError(f"entry '{name}' is {value}, expected an integer >= {least}")
+    return int(value)

@@ -7,7 +7,7 @@ checkpoint replays the exact same step sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -159,49 +159,36 @@ def save_checkpoint(path, model, state, epoch, seed):
         if name in state.m:
             tensors[OPT_M_PREFIX + name] = state.m[name]
             tensors[OPT_V_PREFIX + name] = state.v[name]
-    tensors.update({CFG_PREFIX + f.name: np.float32(getattr(model.config, f.name))
-                    for f in fields(ModelConfig)})
-    tensors[META_PREFIX + "t"] = np.float32(state.t)
-    tensors[META_PREFIX + "epoch"] = np.float32(epoch)
-    tensors[META_PREFIX + "seed"] = np.float32(seed)
+    tensors.update({CFG_PREFIX + k: v for k, v in asdict(model.config).items()})
+    tensors.update({META_PREFIX + "t": state.t, META_PREFIX + "epoch": epoch,
+                    META_PREFIX + "seed": seed})
     tensorio.write_tensors(path, tensors, magic=tensorio.CHECKPOINT_MAGIC)
 
 
-def _scalar(name, arr):
-    """A 0-d `__meta__` or `__cfg__` entry as a float."""
-    if arr.shape != ():
-        raise tensorio.ContainerFormatError(
-            f"checkpoint entry '{name}' has shape {arr.shape}, expected ()")
-    return float(arr)
-
-
 def load_checkpoint(path):
-    """Read a checkpoint file into a Checkpoint record."""
+    """Read a checkpoint file into a Checkpoint record. `meta` holds the
+    counters `t`, `epoch` and `seed` as ints and any other `__meta__` entry,
+    such as an older file's Adam hyperparameters, as a float."""
     tensors = tensorio.read_tensors(path, magic=tensorio.CHECKPOINT_MAGIC)
-    params, opt_m, opt_v, meta, cfg_vals = {}, {}, {}, {}, {}
+    try:  # each field's default gives its type
+        config = ModelConfig(**{
+            f.name: tensorio.integer(tensors, CFG_PREFIX + f.name, 0) if type(f.default) is int
+            else float(tensorio.entry(tensors, CFG_PREFIX + f.name, ()))
+            for f in fields(ModelConfig)})
+    except tensorio.ContainerFormatError as exc:
+        raise tensorio.ContainerFormatError(f"checkpoint model config: {exc}") from None
+    meta = {name[len(META_PREFIX):]: float(tensorio.entry(tensors, name, ()))
+            for name in tensors if name.startswith(META_PREFIX)}
+    meta.update({key: tensorio.integer(tensors, META_PREFIX + key, 0)
+                 for key in ("t", "epoch", "seed")})
+    params, opt_m, opt_v = {}, {}, {}
     for name, arr in tensors.items():
         if name.startswith(OPT_M_PREFIX):
             opt_m[name[len(OPT_M_PREFIX):]] = arr
         elif name.startswith(OPT_V_PREFIX):
             opt_v[name[len(OPT_V_PREFIX):]] = arr
-        elif name.startswith(META_PREFIX):
-            meta[name[len(META_PREFIX):]] = _scalar(name, arr)
-        elif name.startswith(CFG_PREFIX):
-            cfg_vals[name[len(CFG_PREFIX):]] = _scalar(name, arr)
-        else:
+        elif not name.startswith((META_PREFIX, CFG_PREFIX)):
             params[name] = arr
-    model_fields = fields(ModelConfig)
-    missing = [f.name for f in model_fields if f.name not in cfg_vals]
-    if missing:
-        raise tensorio.ContainerFormatError(
-            f"checkpoint lacks config entries: {missing}")
-    # every value is stored as float32; each field's default gives its type
-    for f in model_fields:
-        if type(f.default) is int and not cfg_vals[f.name].is_integer():
-            raise tensorio.ContainerFormatError(
-                f"checkpoint entry '{CFG_PREFIX}{f.name}' is {cfg_vals[f.name]}, not an integer")
-    config = ModelConfig(**{f.name: type(f.default)(cfg_vals[f.name])
-                            for f in model_fields})
     return Checkpoint(config=config, params=params,
                       opt_m=opt_m, opt_v=opt_v, meta=meta)
 
@@ -216,4 +203,4 @@ def restore_state(ckpt):
     """Rebuild the optimizer's step count and moments; `train` takes the
     hyperparameters from its TrainConfig. The state takes over the
     checkpoint's moment arrays, without a copy, and updates them in place."""
-    return AdamState(t=int(ckpt.meta.get("t", 0)), m=dict(ckpt.opt_m), v=dict(ckpt.opt_v))
+    return AdamState(t=ckpt.meta["t"], m=dict(ckpt.opt_m), v=dict(ckpt.opt_v))

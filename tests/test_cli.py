@@ -361,6 +361,42 @@ class TestEvalCommand:
         capsys.readouterr()
         assert calls == {"read_wav": 3, "downsample": 3, "cubic_upsample": 3}
 
+    def test_non_finite_output_exits_2_and_writes_nothing(self, tmp_path, corpus,
+                                                          trained_run, monkeypatch, capsys):
+        def diverged(model, samples):
+            out = np.zeros(len(samples))
+            out[:3] = (np.nan, np.inf, -np.inf)
+            return out
+
+        monkeypatch.setattr("afsr.model.run_patched", diverged)
+        out_csv = tmp_path / "scores.csv"
+        assert main(["eval", "--ckpt", trained_run, "--data", corpus, "--scale", "2",
+                     "--out", str(out_csv), "--frame", "512", "--hop", "256"]) == 2
+        out, err = capsys.readouterr()
+        assert "tone0.wav: model output holds 3 non-finite samples" in err
+        assert "skipped" not in err
+        assert out == ""
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("__meta__.t", 2.5), ("__meta__.t", -1.0),
+        ("__meta__.epoch", 2.5), ("__meta__.epoch", -1.0),
+        ("__cfg__.heads", np.full(2, 2.0))],
+        ids=["t-2.5", "t-neg", "epoch-2.5", "epoch-neg", "cfg-not-0d"])
+    def test_malformed_checkpoint_entry_exits_2(self, tmp_path, corpus, trained_run,
+                                                capsys, key, value):
+        tensors = tensorio.read_tensors(trained_run)
+        tensors[key] = value
+        ckpt = str(tmp_path / "bad.afsr")
+        tensorio.write_tensors(ckpt, tensors)
+        with pytest.raises(tensorio.ContainerFormatError, match=f"'{key}'"):
+            load_checkpoint(ckpt)
+        out_csv = tmp_path / "scores.csv"
+        assert main(["eval", "--ckpt", ckpt, "--data", corpus, "--scale", "2",
+                     "--out", str(out_csv)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_scale_mismatch_exits_2(self, tmp_path, corpus, trained_run):
         assert main(["eval", "--ckpt", trained_run, "--data", corpus,
                      "--scale", "4"]) == 2

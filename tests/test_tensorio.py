@@ -28,6 +28,22 @@ def check_owned_float32(arr):
     assert arr.flags.owndata
 
 
+class TestEntries:
+    def test_entry_shape_with_free_axis(self):
+        tensors = {"lo": np.zeros((3, 4), dtype=np.float32)}
+        assert tensorio.entry(tensors, "lo", (None, 4)) is tensors["lo"]
+        with pytest.raises(tensorio.ContainerFormatError, match=r"'lo' has shape \(3, 4\)"):
+            tensorio.entry(tensors, "lo", (None, 5))
+        with pytest.raises(tensorio.ContainerFormatError, match="lacks entry 'hi'"):
+            tensorio.entry(tensors, "hi", (None, 4))
+
+    @pytest.mark.parametrize("value", [2.5, -1.0, np.nan, np.inf, np.zeros(1)])
+    def test_integer_rejects(self, value):
+        tensors = {"n": np.asarray(value, dtype="<f4")}
+        with pytest.raises(tensorio.ContainerFormatError, match="'n'"):
+            tensorio.integer(tensors, "n", 0)
+
+
 class TestReader:
     @pytest.mark.parametrize("shape", [(3,), (1000, 1000), (65535, 65535, 65535)])
     def test_declared_size_beyond_file_is_format_error(self, tmp_path, shape):
@@ -40,6 +56,20 @@ class TestReader:
         path = tmp_path / "v2.bin"
         path.write_bytes(header(version=2, count=0))
         with pytest.raises(tensorio.ContainerFormatError, match="version 2"):
+            tensorio.read_tensors(str(path))
+
+    def test_repeated_name_is_format_error(self, tmp_path):
+        path = tmp_path / "twice.bin"
+        one = tensor_head("w", (1,)) + struct.pack("<f", 1.0)
+        path.write_bytes(header(count=2) + one + one)
+        with pytest.raises(tensorio.ContainerFormatError, match="'w' appears twice"):
+            tensorio.read_tensors(str(path))
+
+    def test_name_not_utf8_is_format_error(self, tmp_path):
+        path = tmp_path / "latin1.bin"
+        path.write_bytes(header() + struct.pack("<H", 2) + b"\xe9t" + struct.pack("<B", 0)
+                         + struct.pack("<f", 1.0))
+        with pytest.raises(tensorio.ContainerFormatError, match="tensor 0 is not UTF-8"):
             tensorio.read_tensors(str(path))
 
     def test_trailing_bytes_rejected(self, tmp_path):

@@ -168,6 +168,8 @@ class TestCheckpointing:
         save_checkpoint(path, model, result.state, epoch=2, seed=1)
         ckpt = load_checkpoint(path)
         assert ckpt.config == model.config
+        assert {k: (type(v), v) for k, v in ckpt.meta.items()} == \
+            {"t": (int, result.state.t), "epoch": (int, 2), "seed": (int, 1)}
         restored = restore_model(ckpt)
         for k in model.params:
             assert np.array_equal(restored.params[k].data, model.params[k].data)
