@@ -19,20 +19,24 @@ def write_patch_archive(path, patches):
 
 def read_patch_archive(path):
     """A PatchSet whose P patch pairs are `(P, patch_length)` and whose
-    `file_index` and `offset` are `(P,)`; any other shape, or a `meta.*`
-    entry that is not an integer in range, is a format error."""
-    tensors = tensorio.read_tensors(path, magic=tensorio.PATCH_MAGIC)
-    L = tensorio.integer(tensors, "meta.patch_length", 1)
-    rate = tensorio.integer(tensors, "meta.sample_rate_hz", 1)
-    scale = tensorio.integer(tensors, "meta.scale", 2)  # as `prepare --scale` requires
-    lo = tensorio.entry(tensors, "lo", (None, L))
-    P = len(lo)
-    return PatchSet(
-        lo=lo, hi=tensorio.entry(tensors, "hi", (P, L)),
-        file_index=tensorio.entry(tensors, "file_index", (P,)).astype(np.int64),
-        offset=tensorio.entry(tensors, "offset", (P,)).astype(np.int64),
-        patch_length=L, sample_rate_hz=rate, scale=scale,
-    )
+    `file_index` and `offset` are `(P,)` integers >= 0; any other shape, or a
+    `meta.*` entry that is not an integer in range, is a format error that
+    names `path`."""
+    try:
+        tensors = tensorio.read_tensors(path, magic=tensorio.PATCH_MAGIC)
+        L = tensorio.integer(tensors, "meta.patch_length", 1)
+        rate = tensorio.integer(tensors, "meta.sample_rate_hz", 1)
+        scale = tensorio.integer(tensors, "meta.scale", 2)  # as `prepare --scale` requires
+        lo = tensorio.entry(tensors, "lo", (None, L))
+        P = len(lo)
+        return PatchSet(
+            lo=lo, hi=tensorio.entry(tensors, "hi", (P, L)),
+            file_index=tensorio.integer(tensors, "file_index", 0, (P,)),
+            offset=tensorio.integer(tensors, "offset", 0, (P,)),
+            patch_length=L, sample_rate_hz=rate, scale=scale,
+        )
+    except tensorio.ContainerFormatError as exc:
+        raise tensorio.ContainerFormatError(f"{path}: {exc}") from None
 
 
 def empty_patch_set(length, rate, scale):

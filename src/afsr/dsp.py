@@ -38,24 +38,6 @@ class AudioSignal:
 
 
 @dataclass
-class IIRFilter:
-    """Rational filter b/a with a[0] == 1 and all poles inside the unit circle."""
-
-    b: np.ndarray
-    a: np.ndarray
-
-    def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=np.float64)
-        self.a = np.asarray(self.a, dtype=np.float64)
-        if abs(self.a[0] - 1.0) > 1e-12:
-            raise ValueError("denominator must be normalized (a[0] == 1)")
-        if len(self.a) > 1:
-            poles = np.roots(self.a)
-            if np.any(np.abs(poles) >= 1.0):
-                raise ValueError("unstable filter: pole on or outside the unit circle")
-
-
-@dataclass
 class PatchSet:
     """Aligned pairs of low-res-upsampled and high-res windows."""
 
@@ -72,15 +54,15 @@ class PatchSet:
 
 
 def design_cheby1_lowpass(order, ripple_db, cutoff_normalized):
-    """Design a Chebyshev type-I low-pass; cutoff in (0, 1) of Nyquist."""
+    """Design a Chebyshev type-I low-pass; cutoff in (0, 1) of Nyquist.
+    Returns scipy's transfer-function coefficients (b, a)."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if not 0.0 < cutoff_normalized < 1.0:
         raise ValueError(
             f"cutoff must lie in (0, 1) of Nyquist, got {cutoff_normalized}")
     from scipy import signal
-    b, a = signal.cheby1(order, ripple_db, cutoff_normalized, btype="low")
-    return IIRFilter(b, a)
+    return signal.cheby1(order, ripple_db, cutoff_normalized, btype="low")
 
 
 def downsample(sig, r):
@@ -91,10 +73,10 @@ def downsample(sig, r):
     if r < 2:
         raise ValueError(f"downsampling factor must be >= 2, got {r}")
     from scipy import signal
-    filt = design_cheby1_lowpass(8, DEFAULT_RIPPLE_DB, 0.8 / r)
+    b, a = design_cheby1_lowpass(8, DEFAULT_RIPPLE_DB, 0.8 / r)
     # forward-backward (zero-phase) filtering: the IIR's phase distortion
     # would otherwise wreck waveform-domain SNR after resampling
-    filtered = signal.filtfilt(filt.b, filt.a, sig.samples)
+    filtered = signal.filtfilt(b, a, sig.samples)
     n = (len(filtered) // r) * r
     return AudioSignal(filtered[:n:r], sig.sample_rate_hz // r)
 

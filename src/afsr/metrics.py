@@ -49,7 +49,6 @@ def lsd(x, y, frame=2048, hop=512):
 @dataclass
 class EvalItem:
     file_id: str
-    scale: int
     snr_db: float
     lsd: float
 
@@ -77,11 +76,9 @@ class EvalReport:
         }
 
 
-def score_pair(recon, reference, scale, file_id, frame=2048, hop=512):
-    item = EvalItem(file_id=file_id, scale=scale,
-                    snr_db=snr(recon, reference),
+def score_pair(recon, reference, file_id, frame=2048, hop=512):
+    return EvalItem(file_id=file_id, snr_db=snr(recon, reference),
                     lsd=lsd(recon, reference, frame=frame, hop=hop))
-    return item
 
 
 def evaluate_corpus(model, files, r, dataset="corpus", frame=2048, hop=512):
@@ -101,8 +98,8 @@ def evaluate_corpus(model, files, r, dataset="corpus", frame=2048, hop=512):
             lo_up, hi = dsp.degrade(dsp.AudioSignal(*wavio.read_wav(path)), r)
             recons = ([model_mod.run_patched(model, lo_up.samples)]
                       if model is not None else []) + [lo_up.samples]
-            items = [score_pair(x, hi.samples, r, os.path.basename(path),
-                                frame=frame, hop=hop) for x in recons]
+            items = [score_pair(x, hi.samples, os.path.basename(path), frame=frame, hop=hop)
+                     for x in recons]
         except (OSError, ValueError) as exc:
             for rep in reports:
                 rep.skipped.append((path, str(exc)))

@@ -290,9 +290,10 @@ class Model:
 
     # ---- forward ---------------------------------------------------------
 
-    def forward(self, x, train=False, dropout_rng=None, use_afilm=True):
+    def forward(self, x, dropout_rng=None, use_afilm=True):
         """Map (..., T0, 1) cubic-upsampled patches, whose leading axes are
-        a batch, to their enhanced versions."""
+        a batch, to their enhanced versions. Passing `dropout_rng` turns on
+        the bottleneck dropout, whose masks it draws."""
         cfg = self.config
         K = cfg.depth
         if x.data.shape[-2:] != (cfg.patch_length, 1):
@@ -312,9 +313,7 @@ class Model:
             skips.append(h)
 
         h = conv("bottleneck", h, 2)
-        if train and cfg.dropout_rate > 0.0:
-            if dropout_rng is None:
-                raise ValueError("training forward pass needs a dropout RNG")
+        if dropout_rng is not None:
             h = dropout(h, cfg.dropout_rate, dropout_rng)
         h = h.relu()
         if use_afilm:

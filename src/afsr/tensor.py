@@ -381,12 +381,6 @@ def _windows(x, width, stride, group):
     return np.ascontiguousarray(windows.transpose(0, 2, 1)).reshape(windows.shape[0], group * cin)
 
 
-def _im2col(x, width, stride):
-    """The zero-padded "same" windows of (T, Cin) as rows of an
-    (ceil(T / stride), width * Cin) matrix, tap-major within each row."""
-    return _windows(x, width, stride, width)
-
-
 def _gemm(out, a, b, accumulate):
     """out = a @ b, written in place, or out += a @ b."""
     if accumulate:

@@ -5,7 +5,9 @@ tensor: u16 name length, UTF-8 name, u8 rank, u32 per dimension, raw
 32-bit little-endian floats. Used for both checkpoints and patch archives.
 
 Every value is stored as float32, ints included, and `entry` and `integer`
-are the only decoders of a stored entry. Integers above 2^24 can round: a
+are the only decoders of a stored entry; `integer` decodes a 0-d entry to
+an int and an array entry, such as a patch archive's `file_index` and
+`offset`, to an int64 array. Integers above 2^24 can round: a
 patch `offset` past about 17.5 min of 16 kHz audio, and a seed above 2^24.
 Both wait for a container that stores a dtype per tensor.
 
@@ -123,9 +125,13 @@ def entry(tensors, name, shape):
     return arr
 
 
-def integer(tensors, name, least):
-    """The 0-d entry `name` as an exact int >= `least`."""
-    value = float(entry(tensors, name, ()))
-    if not value.is_integer() or value < least:
-        raise ContainerFormatError(f"entry '{name}' is {value}, expected an integer >= {least}")
-    return int(value)
+def integer(tensors, name, least, shape=()):
+    """The entry `name`, which must have `shape` as in `entry`, as exact
+    integers >= `least`: an int when 0-d, an int64 array otherwise."""
+    arr = entry(tensors, name, shape)
+    bad = np.flatnonzero(~(np.isfinite(arr) & (arr == np.floor(arr)) & (arr >= least)))
+    if bad.size:
+        at = f" at index {bad[0]}" if arr.ndim else ""
+        raise ContainerFormatError(f"entry '{name}' is {float(arr.flat[bad[0]])}{at}, "
+                                   f"expected an integer >= {least}")
+    return int(arr) if arr.ndim == 0 else arr.astype(np.int64)

@@ -63,17 +63,16 @@ def mse_loss(pred, target):
 class TrainResult:
     epoch_losses: list = field(default_factory=list)
     step_losses: list = field(default_factory=list)
-    steps: int = 0
     epochs_completed: int = 0
     state: AdamState = None
 
 
-def batch_loss(model, lo_batch, hi_batch, train=False, dropout_rng=None):
+def batch_loss(model, lo_batch, hi_batch, dropout_rng=None):
     """Mean patch MSE over one (N, T0) batch, from one forward pass over
-    the stacked (N, T0, 1) input."""
+    the stacked (N, T0, 1) input; `dropout_rng` turns dropout on."""
     x = Tensor(np.asarray(lo_batch, dtype=model.dtype)[..., None])
     y = Tensor(np.asarray(hi_batch, dtype=model.dtype)[..., None])
-    return mse_loss(model.forward(x, train=train, dropout_rng=dropout_rng), y)
+    return mse_loss(model.forward(x, dropout_rng=dropout_rng), y)
 
 
 def train(model, patches, cfg, state=None, start_epoch=0,
@@ -99,7 +98,7 @@ def train(model, patches, cfg, state=None, start_epoch=0,
     state.beta1 = cfg.beta1
     state.beta2 = cfg.beta2
     state.eps = cfg.eps
-    result = TrainResult(steps=state.t, epochs_completed=start_epoch, state=state)
+    result = TrainResult(epochs_completed=start_epoch, state=state)
     bs = cfg.batch_size
     for epoch in range(start_epoch, cfg.epochs):
         rng = np.random.default_rng((cfg.seed, epoch))
@@ -107,7 +106,7 @@ def train(model, patches, cfg, state=None, start_epoch=0,
         epoch_losses = []
         stop = False
         for bi, start in enumerate(range(0, n, bs)):
-            if cfg.max_steps and result.steps >= cfg.max_steps:
+            if cfg.max_steps and state.t >= cfg.max_steps:
                 stop = True
                 break
             idx = order[start:start + bs]
@@ -115,8 +114,7 @@ def train(model, patches, cfg, state=None, start_epoch=0,
             # free the last step's gradients before the new graph is built;
             # after the final step they stay on the parameters
             model.zero_grad()
-            loss = batch_loss(model, patches.lo[idx], patches.hi[idx],
-                              train=True, dropout_rng=drop_rng)
+            loss = batch_loss(model, patches.lo[idx], patches.hi[idx], dropout_rng=drop_rng)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingDiverged(
@@ -126,7 +124,6 @@ def train(model, patches, cfg, state=None, start_epoch=0,
             adam_step(model.params, grads, state)
             epoch_losses.append(value)
             result.step_losses.append(value)
-            result.steps += 1
         if epoch_losses:
             result.epoch_losses.append(float(np.mean(epoch_losses)))
             if log is not None:
@@ -168,19 +165,23 @@ def save_checkpoint(path, model, state, epoch, seed):
 def load_checkpoint(path):
     """Read a checkpoint file into a Checkpoint record. `meta` holds the
     counters `t`, `epoch` and `seed` as ints and any other `__meta__` entry,
-    such as an older file's Adam hyperparameters, as a float."""
-    tensors = tensorio.read_tensors(path, magic=tensorio.CHECKPOINT_MAGIC)
-    try:  # each field's default gives its type
-        config = ModelConfig(**{
-            f.name: tensorio.integer(tensors, CFG_PREFIX + f.name, 0) if type(f.default) is int
-            else float(tensorio.entry(tensors, CFG_PREFIX + f.name, ()))
-            for f in fields(ModelConfig)})
+    such as an older file's Adam hyperparameters, as a float. A format
+    error names `path`."""
+    try:
+        tensors = tensorio.read_tensors(path, magic=tensorio.CHECKPOINT_MAGIC)
+        try:  # each field's default gives its type
+            config = ModelConfig(**{
+                f.name: tensorio.integer(tensors, CFG_PREFIX + f.name, 0) if type(f.default) is int
+                else float(tensorio.entry(tensors, CFG_PREFIX + f.name, ()))
+                for f in fields(ModelConfig)})
+        except tensorio.ContainerFormatError as exc:
+            raise tensorio.ContainerFormatError(f"checkpoint model config: {exc}") from None
+        meta = {name[len(META_PREFIX):]: float(tensorio.entry(tensors, name, ()))
+                for name in tensors if name.startswith(META_PREFIX)}
+        meta.update({key: tensorio.integer(tensors, META_PREFIX + key, 0)
+                     for key in ("t", "epoch", "seed")})
     except tensorio.ContainerFormatError as exc:
-        raise tensorio.ContainerFormatError(f"checkpoint model config: {exc}") from None
-    meta = {name[len(META_PREFIX):]: float(tensorio.entry(tensors, name, ()))
-            for name in tensors if name.startswith(META_PREFIX)}
-    meta.update({key: tensorio.integer(tensors, META_PREFIX + key, 0)
-                 for key in ("t", "epoch", "seed")})
+        raise tensorio.ContainerFormatError(f"{path}: {exc}") from None
     params, opt_m, opt_v = {}, {}, {}
     for name, arr in tensors.items():
         if name.startswith(OPT_M_PREFIX):

@@ -282,8 +282,10 @@ class TestTrainCommand:
         cfgp.write_text(TINY_CONFIG)
         assert main(["train", "--data", arch, "--out", str(tmp_path / "run"),
                      "--config", str(cfgp), "--epochs", "1"]) == 2
-        assert f"'{key}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err
         assert not (tmp_path / "run").exists()
+        return arch, err
 
     @pytest.mark.parametrize("key", ["hi", "lo", "offset", "meta.scale"])
     def test_misshapen_archive_tensor_exits_2(self, tmp_path, rng, capsys, key):
@@ -298,6 +300,23 @@ class TestTrainCommand:
                                            ("meta.patch_length", 256.5)])
     def test_meta_entry_out_of_range_exits_2(self, tmp_path, rng, capsys, key, value):
         self._train_on_edited_archive(tmp_path, rng, capsys, key, lambda t: np.float32(value))
+
+    @pytest.mark.parametrize("key", ["file_index", "offset"])
+    @pytest.mark.parametrize("value", [2.5, -1.0, np.nan])
+    def test_non_integer_patch_position_exits_2(self, tmp_path, rng, capsys, key, value):
+        def edit(tensors):
+            bad = tensors[key].copy()
+            bad[3] = value
+            return bad
+
+        arch, _ = self._train_on_edited_archive(tmp_path, rng, capsys, key, edit)
+        with pytest.raises(tensorio.ContainerFormatError, match=f"'{key}' is {value} at index 3"):
+            archive.read_patch_archive(arch)
+
+    def test_format_error_names_the_archive(self, tmp_path, rng, capsys):
+        arch, err = self._train_on_edited_archive(tmp_path, rng, capsys, "meta.scale",
+                                                  lambda t: np.float32(2.5))
+        assert f"{arch}: entry 'meta.scale' is 2.5" in err
 
 
 @pytest.fixture
@@ -464,6 +483,18 @@ class TestInferCommand:
         assert main(["infer", "--ckpt", ckpt, "--in", src,
                      "--out", str(tmp_path / "o.wav"), "--scale", "2"]) == 2
         assert "final.conv.b" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_exits_2_naming_it(self, tmp_path, trained_run, capsys):
+        ckpt = tmp_path / "cut.afsr"
+        with open(trained_run, "rb") as fh:
+            ckpt.write_bytes(fh.read(os.path.getsize(trained_run) // 2))
+        src = str(tmp_path / "in.wav")
+        wavio.write_wav(src, np.zeros(8000), 8000)
+        dst = tmp_path / "o.wav"
+        assert main(["infer", "--ckpt", str(ckpt), "--in", src,
+                     "--out", str(dst), "--scale", "2"]) == 2
+        assert f"{ckpt}: truncated file" in capsys.readouterr().err
+        assert not dst.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("__cfg__.depth", np.full(2, 2.0)), ("__cfg__.depth", np.float32(2.5)),

@@ -161,8 +161,8 @@ class TestCorpusEvaluation:
 class TestReport:
     def test_aggregate_excludes_infinite_snr(self):
         rep = EvalReport(method="m", scale=2, dataset="d")
-        rep.items = [EvalItem("a", 2, 10.0, 1.0),
-                     EvalItem("b", 2, math.inf, 3.0)]
+        rep.items = [EvalItem("a", 10.0, 1.0),
+                     EvalItem("b", math.inf, 3.0)]
         agg = rep.aggregate()
         assert agg["count"] == 2
         assert agg["snr_db"] == pytest.approx(10.0)
@@ -170,8 +170,8 @@ class TestReport:
 
     def test_csv_layout(self):
         rep = EvalReport(method="m", scale=2, dataset="d")
-        rep.items = [EvalItem("a.wav", 2, 10.0, 1.0),
-                     EvalItem("b.wav", 2, math.inf, 3.0)]
+        rep.items = [EvalItem("a.wav", 10.0, 1.0),
+                     EvalItem("b.wav", math.inf, 3.0)]
         text = report_csv([rep])
         lines = text.strip().split("\n")
         assert lines[0] == "method,scale,dataset,file,snr_db,lsd"
@@ -181,8 +181,7 @@ class TestReport:
 
     def test_score_pair_fields(self, rng):
         y = rng.normal(size=4096)
-        item = score_pair(y + 0.01, y, 2, "x.wav")
+        item = score_pair(y + 0.01, y, "x.wav")
         assert item.file_id == "x.wav"
-        assert item.scale == 2
         assert math.isfinite(item.snr_db)
         assert item.lsd >= 0.0

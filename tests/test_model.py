@@ -339,11 +339,6 @@ class TestModelForward:
         stacked = np.stack([model.forward(Tensor(p), use_afilm=use_afilm).data for p in x])
         assert np.array_equal(batched, stacked)
 
-    def test_dropout_requires_rng(self):
-        model = Model(tiny_config(dropout_rate=0.5), seed=0)
-        with pytest.raises(ValueError):
-            model.forward(Tensor(np.zeros((64, 1), dtype=np.float32)), train=True)
-
     def test_gradient_reaches_nearly_all_tensors(self, rng):
         model = Model(tiny_config(), seed=0)
         x = Tensor(rng.normal(size=(64, 1)).astype(np.float32))

@@ -9,7 +9,7 @@ import pytest
 from conftest import check_gradients, finite_difference, graph_nodes, max_rel_err
 
 from afsr.optim import CHUNK, AdamState, adam_step
-from afsr.tensor import (DivisibilityError, ShapeError, Tensor, _im2col, concat,
+from afsr.tensor import (DivisibilityError, ShapeError, Tensor, _windows, concat,
                          conv1d, dropout, layer_norm,
                          max_pool_blocks, no_grad, softmax)
 from afsr.trainer import mse_loss
@@ -101,7 +101,7 @@ class TestConv1dKernelGradient:
         out = conv1d(Tensor(x, dtype=dtype), k, Tensor(np.zeros(12), dtype=dtype), stride=stride)
         g = rng.normal(size=out.data.shape).astype(dtype)
         (out * Tensor(g, dtype=dtype)).sum().backward()
-        gk = reduce(iadd, (_im2col(xn, width, stride).T @ gn for xn, gn in zip(x, g)))
+        gk = reduce(iadd, (_windows(xn, width, stride, width).T @ gn for xn, gn in zip(x, g)))
         want = gk.T.reshape(12, width, cin)
         assert k.grad.dtype == want.dtype and k.grad.shape == want.shape
         assert k.grad.tobytes() == want.tobytes()

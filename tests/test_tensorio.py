@@ -43,6 +43,18 @@ class TestEntries:
         with pytest.raises(tensorio.ContainerFormatError, match="'n'"):
             tensorio.integer(tensors, "n", 0)
 
+    def test_integer_array(self):
+        tensors = {"n": np.asarray([0.0, 3.0, 7.0], dtype="<f4")}
+        got = tensorio.integer(tensors, "n", 0, (None,))
+        assert got.dtype == np.int64 and got.tolist() == [0, 3, 7]
+        assert type(tensorio.integer({"s": np.float32(4.0)}, "s", 0)) is int
+
+    @pytest.mark.parametrize("value", [2.5, -1.0, np.nan, np.inf])
+    def test_integer_array_rejects(self, value):
+        tensors = {"n": np.asarray([0.0, 1.0, value], dtype="<f4")}
+        with pytest.raises(tensorio.ContainerFormatError, match="'n' is .* at index 2"):
+            tensorio.integer(tensors, "n", 0, (3,))
+
 
 class TestReader:
     @pytest.mark.parametrize("shape", [(3,), (1000, 1000), (65535, 65535, 65535)])

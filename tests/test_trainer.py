@@ -73,11 +73,11 @@ class TestBatchLoss:
         # forwards would draw from in turn
         model = Model(small_config(dropout_rate=0.5), seed=0, dtype=np.float64)
         patches = make_patches(rng, n=4)
-        got = float(batch_loss(model, patches.lo, patches.hi, train=True,
+        got = float(batch_loss(model, patches.lo, patches.hi,
                                dropout_rng=np.random.default_rng(5)).data)
         per_patch_rng = np.random.default_rng(5)
         losses = [float(mse_loss(model.forward(Tensor(lo.reshape(-1, 1), dtype=np.float64),
-                                               train=True, dropout_rng=per_patch_rng),
+                                               dropout_rng=per_patch_rng),
                                  Tensor(hi.reshape(-1, 1), dtype=np.float64)).data)
                   for lo, hi in zip(patches.lo, patches.hi)]
         assert got == pytest.approx(float(np.mean(losses)), rel=1e-12, abs=0)
@@ -93,7 +93,7 @@ class TestTrainLoop:
         train(ref, patches, TrainConfig(epochs=1, batch_size=8, seed=3))
         order = np.random.default_rng((3, 1)).permutation(len(patches))
         ref.zero_grad()
-        batch_loss(ref, patches.lo[order], patches.hi[order], train=True,
+        batch_loss(ref, patches.lo[order], patches.hi[order],
                    dropout_rng=np.random.default_rng((3, 1, 0))).backward()
         for name, p in model.params.items():
             assert p.grad is not None, name
@@ -111,7 +111,7 @@ class TestTrainLoop:
         model = Model(small_config(), seed=0)
         before = {k: v.data.copy() for k, v in model.params.items()}
         result = train(model, make_patches(rng), TrainConfig(epochs=0))
-        assert result.steps == 0
+        assert result.state.t == 0
         for k, v in model.params.items():
             assert np.array_equal(v.data, before[k])
 
@@ -119,7 +119,7 @@ class TestTrainLoop:
         model = Model(small_config(), seed=0)
         cfg = TrainConfig(epochs=100, batch_size=4, seed=1, max_steps=3)
         result = train(model, make_patches(rng), cfg)
-        assert result.steps == 3
+        assert result.state.t == 3
         assert len(result.step_losses) == 3
 
     def test_empty_patch_set_rejected(self):
@@ -336,7 +336,7 @@ class TestCheckpointing:
         cfg = TrainConfig(epochs=3, batch_size=4, seed=1, checkpoint_every=1,
                           max_steps=3)
         result = train(model, make_patches(rng), cfg, checkpoint_path=path)
-        assert result.steps == 3
+        assert result.state.t == 3
         assert result.epochs_completed == 1
         ckpt = load_checkpoint(path)
         assert ckpt.meta["epoch"] == 1.0
