@@ -17,7 +17,9 @@ import sys
 import numpy as np
 
 from . import __version__, archive, dsp, metrics, trainer, wavio
-from .model import Model, ModelConfig, check_ranges, count_parameters, run_patched
+from .model import (MissingTensorError, Model, ModelConfig, check_ranges, count_parameters,
+                    run_patched)
+from .tensor import ShapeError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,8 +82,10 @@ def resolve_configs(file_values, patch_length, scale):
 
 
 def write_manifest(out_dir, command, seed, config, inputs, outputs):
-    """Record the resolved run before any long work starts; paths are kept
-    relative so reruns in different roots produce identical bytes."""
+    """Record the resolved run: `train` writes it before any long work
+    starts, `prepare` once its archive is in place, so a refused corpus leaves
+    neither. Paths are kept relative so reruns in different roots produce
+    identical bytes."""
     manifest = {
         "tool": "afsr",
         "version": __version__,
@@ -113,30 +117,37 @@ def cmd_prepare(args):
                         ("stride", args.stride >= 0, ">= 0 (0: half the patch)")), "--")
     names = _list_wavs(args.input)
     stride = args.stride if args.stride else args.patch // 2
+
+    def patch_sets():
+        """One file's PatchSet at a time; a file that cannot be read or cut
+        is skipped, and one whose rate differs from the first file with
+        patches refuses the corpus."""
+        first = None  # (name, rate) of the first file with patches
+        for i, name in enumerate(names):
+            try:
+                sig = dsp.AudioSignal(*wavio.read_wav(os.path.join(args.input, name)))
+                patches = dsp.extract_patches(*dsp.degrade(sig, args.scale), length=args.patch,
+                                              stride=stride, file_index=i, scale=args.scale)
+            except (ValueError, OSError) as exc:
+                print(f"prepare: skipping {name}: {exc}", file=sys.stderr)
+                continue
+            if len(patches):
+                first = first or (name, patches.sample_rate_hz)
+                if patches.sample_rate_hz != first[1]:
+                    raise DataError(f"{name} is at {patches.sample_rate_hz} Hz but {first[0]} "
+                                    f"is at {first[1]} Hz; a corpus must have one sample rate")
+            yield patches
+            del patches  # the archive has taken this file's patches
+
     os.makedirs(args.output, exist_ok=True)
+    out_path = os.path.join(args.output, "patches.afsp")
+    count = archive.write_patch_archive(out_path, patch_sets(), args.patch, args.scale)
+    if not count:
+        print("prepare: no patches produced (empty or unusable input)", file=sys.stderr)
     write_manifest(args.output, "prepare", 0,
                    {"scale": args.scale, "patch": args.patch, "stride": stride},
                    names, ["patches.afsp"])
-    sets = []
-    for i, name in enumerate(names):
-        path = os.path.join(args.input, name)
-        try:
-            lo_up, hi = dsp.degrade(dsp.AudioSignal(*wavio.read_wav(path)), args.scale)
-            sets.append(dsp.extract_patches(lo_up, hi, length=args.patch,
-                                            stride=stride, file_index=i,
-                                            scale=args.scale))
-        except (ValueError, OSError) as exc:
-            print(f"prepare: skipping {name}: {exc}", file=sys.stderr)
-    if not any(len(s) for s in sets):
-        print("prepare: no patches produced (empty or unusable input)",
-              file=sys.stderr)
-        rate = 16000
-        patches = archive.empty_patch_set(args.patch, rate, args.scale)
-    else:
-        patches = dsp.merge_patch_sets(sets)
-    out_path = os.path.join(args.output, "patches.afsp")
-    archive.write_patch_archive(out_path, patches)
-    print(f"prepare: wrote {len(patches)} patch pairs to {out_path}")
+    print(f"prepare: wrote {count} patch pairs to {out_path}")
     return EXIT_OK
 
 
@@ -183,7 +194,8 @@ def cmd_train(args):
 
 
 def _load_model(path, scale, verb):
-    """The checkpoint's model, which must have been trained for `scale`."""
+    """The checkpoint's model, which must have been trained for `scale`; a
+    missing or misshapen parameter is an error that names `path`."""
     if not os.path.exists(path):
         raise DataError(f"checkpoint not found: {path}")
     ckpt = trainer.load_checkpoint(path)
@@ -191,7 +203,10 @@ def _load_model(path, scale, verb):
         raise DataError(
             f"checkpoint was trained for scale {ckpt.config.upscale}, "
             f"refusing to {verb} at scale {scale}")
-    return trainer.restore_model(ckpt)
+    try:
+        return trainer.restore_model(ckpt)
+    except (MissingTensorError, ShapeError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def cmd_eval(args):

@@ -139,26 +139,6 @@ def extract_patches(lowres_upsampled, highres, length=8192, stride=None,
     )
 
 
-def merge_patch_sets(sets):
-    """Concatenate per-file patch sets in (file index, offset) order."""
-    sets = [s for s in sets if len(s) > 0]
-    if not sets:
-        raise ValueError("no patches to merge")
-    first = sets[0]
-    for s in sets[1:]:
-        if s.patch_length != first.patch_length or s.sample_rate_hz != first.sample_rate_hz:
-            raise ValueError("patch sets disagree on length or rate")
-    return PatchSet(
-        lo=np.concatenate([s.lo for s in sets]),
-        hi=np.concatenate([s.hi for s in sets]),
-        file_index=np.concatenate([s.file_index for s in sets]),
-        offset=np.concatenate([s.offset for s in sets]),
-        patch_length=first.patch_length,
-        sample_rate_hz=first.sample_rate_hz,
-        scale=first.scale,
-    )
-
-
 def hann_window(frame):
     """Periodic Hann window."""
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)

@@ -33,17 +33,30 @@ def snr(x, y):
     return 10.0 * math.log10(ref / err)
 
 
+LSD_CHUNK_FRAMES = 128  # frames scored per step: two chunks of spectra are held, not two signals
+
+
 def lsd(x, y, frame=2048, hop=512):
     """Log-spectral distance: per-frame RMS over frequency bins of the log
-    power difference, averaged over frames. `y` is the reference."""
+    power difference, averaged over frames. `y` is the reference.
+
+    The frames are scored LSD_CHUNK_FRAMES at a time, each chunk's spectra
+    taken from the samples under it, so memory does not grow with the
+    signal; every frame's arithmetic is that of one whole-signal STFT."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    X = dsp.stft_log_power(y, frame=frame, hop=hop)
-    Xh = dsp.stft_log_power(x, frame=frame, hop=hop)
-    per_frame = np.sqrt(np.mean((X - Xh) ** 2, axis=1))
-    return float(np.mean(per_frame))
+    if hop < 1:
+        raise ValueError(f"hop must be positive, got {hop}")
+    step = LSD_CHUNK_FRAMES * hop
+    span = step - hop + frame  # the samples under one chunk of frames
+    per_frame = []
+    for start in range(0, max(len(y) - frame, 0) + 1, step):
+        X = dsp.stft_log_power(y[start:start + span], frame=frame, hop=hop)
+        Xh = dsp.stft_log_power(x[start:start + span], frame=frame, hop=hop)
+        per_frame.append(np.sqrt(np.mean((X - Xh) ** 2, axis=1)))
+    return float(np.mean(np.concatenate(per_frame)))
 
 
 @dataclass

@@ -4,6 +4,14 @@ Layout: 4-byte magic, u32 version (always 1), u32 tensor count, then per
 tensor: u16 name length, UTF-8 name, u8 rank, u32 per dimension, raw
 32-bit little-endian floats. Used for both checkpoints and patch archives.
 
+The writer takes each tensor either as an array or as an iterator of row
+blocks, such as a generator. Row blocks share every axis but the first;
+their rows are written as they arrive and counted, and the count is written
+back into the header's leading dimension once the last block is in, so a
+tensor of any number of rows is written while one block is held. Every
+array is written from a memoryview of its float32 data, with no `tobytes()`
+copy; one already C-contiguous little-endian float32 is not copied at all.
+
 Every value is stored as float32, ints included, and `entry` and `integer`
 are the only decoders of a stored entry; `integer` decodes a 0-d entry to
 an int and an array entry, such as a patch archive's `file_index` and
@@ -24,6 +32,7 @@ import contextlib
 import math
 import os
 import struct
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -37,11 +46,13 @@ class ContainerFormatError(ValueError):
 
 
 def write_tensors(path, tensors, magic=CHECKPOINT_MAGIC):
-    """Write `tensors` (name -> array) to `path`; values stored as float32.
+    """Write `tensors` (name -> array, or name -> iterator of row blocks) to
+    `path`; values stored as float32.
 
     Atomic: the container goes to a temporary file beside `path`, which
     replaces `path` only once it is complete, so a failed or interrupted
-    write leaves any earlier file intact.
+    write, including an error raised by a row-block iterator, leaves any
+    earlier file intact.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -54,11 +65,20 @@ def write_tensors(path, tensors, magic=CHECKPOINT_MAGIC):
         raise
 
 
+def _float32(arr):
+    return np.asarray(arr, dtype="<f4", order="C")
+
+
 def _write_container(fh, tensors, magic):
     fh.write(magic)
     fh.write(struct.pack("<II", VERSION, len(tensors)))
-    for name, arr in tensors.items():
-        arr = np.asarray(arr, dtype="<f4")
+    for name, value in tensors.items():
+        blocks = value if isinstance(value, Iterator) else None
+        if blocks is not None:
+            value = next(blocks, None)
+            if value is None or np.ndim(value) == 0:
+                raise ValueError(f"tensor '{name}' needs a first row block of rank >= 1")
+        arr = _float32(value)
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise ValueError(f"tensor name too long: {name!r}")
@@ -66,8 +86,24 @@ def _write_container(fh, tensors, magic):
             raise ValueError(f"tensor rank too large: {arr.ndim}")
         fh.write(struct.pack("<H", len(encoded)))
         fh.write(encoded)
-        fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
-        fh.write(np.ascontiguousarray(arr).tobytes())
+        fh.write(struct.pack("<B", arr.ndim))
+        rows_at = fh.tell()
+        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        fh.write(memoryview(arr))
+        if blocks is not None:
+            rows = len(arr)
+            for block in blocks:
+                block = _float32(block)
+                if block.ndim != arr.ndim or block.shape[1:] != arr.shape[1:]:
+                    raise ValueError(f"row block of '{name}' has shape {block.shape}, "
+                                     f"but its first block has {arr.shape}")
+                fh.write(memoryview(block))
+                rows += len(block)
+                del block  # written: let it go before the next block is made
+            end = fh.tell()
+            fh.seek(rows_at)
+            fh.write(struct.pack("<I", rows))
+            fh.seek(end)
 
 
 def read_tensors(path, magic=CHECKPOINT_MAGIC):

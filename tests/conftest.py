@@ -32,6 +32,19 @@ def max_rel_err(analytic, numeric, floor=1e-3):
     return worst
 
 
+def write_concatenated_archive(path, sets, length, rate, scale):
+    """The patch archive of `sets` written in one piece: each array
+    concatenated, then one `write_tensors` call; the oracle for streamed
+    archives."""
+    from afsr import tensorio
+    tensors = {key: np.concatenate([np.zeros((0, length) if key in ("lo", "hi") else 0)]
+                                   + [getattr(s, key) for s in sets])
+               for key in ("lo", "hi", "file_index", "offset")}
+    tensors.update({"meta.patch_length": length, "meta.sample_rate_hz": rate,
+                    "meta.scale": scale})
+    tensorio.write_tensors(path, tensors, magic=tensorio.PATCH_MAGIC)
+
+
 def graph_nodes(out):
     """Recorded nodes reachable from `out` (leaves record none)."""
     seen, stack = set(), [out]

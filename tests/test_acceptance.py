@@ -347,7 +347,11 @@ def test_criterion_7_learning(tmp_path):
         ups.append(lo_up.samples)
         sets.append(dsp.extract_patches(lo_up, hi, length=T0, stride=T0,
                                         file_index=i, scale=r))
-    patches = dsp.merge_patch_sets(sets)
+    patches = dsp.PatchSet(
+        lo=np.concatenate([s.lo for s in sets]), hi=np.concatenate([s.hi for s in sets]),
+        file_index=np.concatenate([s.file_index for s in sets]),
+        offset=np.concatenate([s.offset for s in sets]),
+        patch_length=T0, sample_rate_hz=rate, scale=r)
 
     cfg = ModelConfig(depth=2, blocks=16, transformer_layers=1, heads=2,
                       ffn_hidden=64, dropout_rate=0.0, upscale=2,

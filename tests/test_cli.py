@@ -1,14 +1,16 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from afsr import archive, tensorio, trainer, wavio
+from afsr import archive, dsp, tensorio, trainer, wavio
 from afsr.cli import main, parse_config_file
 from afsr.dsp import PatchSet
 from afsr.model import Model, ModelConfig
 from afsr.optim import AdamState
 from afsr.trainer import load_checkpoint, restore_model, save_checkpoint
+from conftest import write_concatenated_archive
 
 
 def write_tone(path, freq=440.0, seconds=1.0, rate=16000, amp=0.4):
@@ -131,6 +133,53 @@ class TestPrepare:
             a = open(os.path.join(out1, name), "rb").read()
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b, name
+
+    def test_archive_equals_one_write_of_the_concatenated_arrays(self, tmp_path):
+        d = tmp_path / "wavs"
+        d.mkdir()
+        for name, freq, seconds in (("a.wav", 440.0, 1.0), ("c.wav", 660.0, 0.1),
+                                    ("d.wav", 880.0, 2.5)):
+            write_tone(str(d / name), freq, seconds=seconds)
+        write_truncated_wav(str(d / "b.wav"))  # skipped; c.wav is too short for a patch
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        for corpus, readable in ((d, {0: "a.wav", 2: "c.wav", 3: "d.wav"}), (empty, {})):
+            sets = [dsp.extract_patches(
+                        *dsp.degrade(dsp.AudioSignal(*wavio.read_wav(str(corpus / name))), 2),
+                        length=2048, stride=1024, file_index=i, scale=2)
+                    for i, name in readable.items()]
+            want = str(tmp_path / "want.afsp")
+            write_concatenated_archive(want, sets, 2048, 16000, 2)
+            out = tmp_path / f"out-{corpus.name}"
+            assert prepare(str(corpus), str(out), stride=1024) == 0
+            assert (out / "patches.afsp").read_bytes() == open(want, "rb").read()
+            assert sorted(os.listdir(out)) == ["manifest.json", "patches.afsp"]
+
+    def test_mixed_rates_refused_naming_the_file_and_writing_nothing(self, tmp_path, capsys):
+        d = tmp_path / "wavs"
+        d.mkdir()
+        write_tone(str(d / "a.wav"))
+        write_tone(str(d / "b.wav"), rate=8000)
+        write_tone(str(d / "c.wav"))
+        out = tmp_path / "out"
+        assert prepare(str(d), str(out)) == 2
+        assert "b.wav is at 8000 Hz but a.wav is at 16000 Hz" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_peak_memory_does_not_grow_with_the_file_count(self, tmp_path):
+        peaks = []
+        for count in (2, 2, 6):  # the first run loads scipy
+            d = tmp_path / f"wavs{len(peaks)}"
+            d.mkdir()
+            for i in range(count):
+                write_tone(str(d / f"t{i}.wav"), 300.0 + 100 * i, seconds=3.0)
+            tracemalloc.start()
+            try:
+                assert prepare(str(d), str(tmp_path / f"out{len(peaks)}"), stride=1024) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] < 1.1 * peaks[1], peaks
 
     def test_manifest_lists_inputs(self, tmp_path, corpus):
         import json
@@ -274,7 +323,7 @@ class TestTrainCommand:
                         offset=np.arange(8) * 256, patch_length=256,
                         sample_rate_hz=16000, scale=2)
         arch = str(tmp_path / "p.afsp")
-        archive.write_patch_archive(arch, good)
+        archive.write_patch_archive(arch, [good], 256, 2)
         tensors = tensorio.read_tensors(arch, magic=tensorio.PATCH_MAGIC)
         tensors[key] = edit(tensors)
         tensorio.write_tensors(arch, tensors, magic=tensorio.PATCH_MAGIC)
@@ -567,6 +616,29 @@ class TestExitCodes:
         if command == "infer":
             args += ["--out", str(tmp_path / "o.wav")]
         assert main(args) == 2
+
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    @pytest.mark.parametrize("value, message", [
+        (None, "checkpoint is missing tensor 'final.conv.b'"),
+        (np.zeros(7), "tensor 'final.conv.b' has shape (7,) in the checkpoint")],
+        ids=["missing", "misshapen"])
+    def test_bad_parameter_names_the_checkpoint(self, tmp_path, corpus, trained_run, capsys,
+                                                command, value, message):
+        tensors = tensorio.read_tensors(trained_run)
+        if value is None:
+            del tensors["final.conv.b"]
+        else:
+            tensors["final.conv.b"] = value
+        ckpt = str(tmp_path / "bad.afsr")
+        tensorio.write_tensors(ckpt, tensors)
+        if command == "infer":
+            src = str(tmp_path / "in.wav")
+            wavio.write_wav(src, np.zeros(8000), 8000)
+            args = ["infer", "--in", src, "--out", str(tmp_path / "o.wav")]
+        else:
+            args = ["eval", "--data", corpus]
+        assert main(args + ["--ckpt", ckpt, "--scale", "2"]) == 2
+        assert f"{ckpt}: {message}" in capsys.readouterr().err
 
     def test_missing_required_argument_exits_1(self):
         assert main(["prepare", "--in", "x"]) == 1

@@ -1,11 +1,13 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from afsr import wavio
-from afsr.metrics import (EvalItem, EvalReport, bicubic_baseline,
+from afsr.dsp import stft_log_power
+from afsr.metrics import (LSD_CHUNK_FRAMES, EvalItem, EvalReport, bicubic_baseline,
                           evaluate_corpus, lsd, report_csv, score_pair, snr)
 from afsr.model import Model, ModelConfig
 
@@ -98,6 +100,31 @@ class TestLsd:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             lsd(np.zeros(3000), np.zeros(3001))
+
+    @pytest.mark.parametrize("frames", [1, LSD_CHUNK_FRAMES, LSD_CHUNK_FRAMES + 1,
+                                        3 * LSD_CHUNK_FRAMES + 5])
+    def test_chunked_equals_whole_signal_stft(self, rng, frames):
+        frame, hop = 64, 16
+        n = frame + (frames - 1) * hop + hop // 2  # the tail is shorter than a hop
+        x = rng.normal(size=n)
+        y = rng.normal(size=n)
+        X = stft_log_power(y, frame=frame, hop=hop)
+        Xh = stft_log_power(x, frame=frame, hop=hop)
+        assert X.shape[0] == frames
+        assert lsd(x, y, frame=frame, hop=hop) == float(np.mean(np.sqrt(np.mean((X - Xh) ** 2,
+                                                                                 axis=1))))
+
+    def test_peak_memory_on_a_minute_of_audio(self, rng):
+        # scoring whole-signal spectra peaked at 88 MiB here
+        y = rng.normal(size=60 * 16000)
+        x = y + 0.01 * rng.normal(size=y.size)
+        tracemalloc.start()
+        try:
+            lsd(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
 
 def tiny_model():

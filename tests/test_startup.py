@@ -70,7 +70,7 @@ def test_train_loads_no_scipy(tmp_path, rng):
                        offset=np.arange(4) * 256, patch_length=256,
                        sample_rate_hz=16000, scale=2)
     arch = str(tmp_path / "p.afsp")
-    archive.write_patch_archive(arch, patches)
+    archive.write_patch_archive(arch, [patches], 256, 2)
     cfg = tmp_path / "m.cfg"
     cfg.write_text("depth = 2\nblocks = 4\ntransformer_layers = 1\nheads = 2\n"
                    "ffn_hidden = 8\nwidth_mult = 0.03125\nbatch_size = 2\n")

@@ -8,6 +8,7 @@ from afsr.dsp import PatchSet
 from afsr.model import Model, ModelConfig
 from afsr.optim import AdamState
 from afsr.trainer import load_checkpoint, save_checkpoint
+from conftest import write_concatenated_archive
 
 
 def header(version=1, count=1, magic=tensorio.CHECKPOINT_MAGIC):
@@ -125,7 +126,7 @@ class TestReader:
                            file_index=np.arange(4), offset=np.arange(4) * 64,
                            patch_length=64, sample_rate_hz=16000, scale=2)
         path = str(tmp_path / "p.afsp")
-        archive.write_patch_archive(path, patches)
+        archive.write_patch_archive(path, [patches], 64, 2)
         tensors = tensorio.read_tensors(path, magic=tensorio.PATCH_MAGIC)
         for arr in tensors.values():
             check_owned_float32(arr)
@@ -133,3 +134,57 @@ class TestReader:
         assert np.array_equal(got.lo, patches.lo) and np.array_equal(got.hi, patches.hi)
         check_owned_float32(got.lo)
         check_owned_float32(got.hi)
+
+
+class TestWriter:
+    def test_row_blocks_write_the_bytes_of_the_whole_array(self, tmp_path, rng):
+        m = rng.normal(size=(9, 5))
+        whole, streamed = str(tmp_path / "whole.bin"), str(tmp_path / "streamed.bin")
+        tensorio.write_tensors(whole, {"m": m, "e": np.zeros((0, 7)), "s": 1.5})
+        tensorio.write_tensors(streamed, {"m": iter([m[:0], m[:4], m[4:4], m[4:]]),
+                                          "e": iter([np.zeros((0, 7))]), "s": 1.5})
+        assert open(streamed, "rb").read() == open(whole, "rb").read()
+        assert tensorio.read_tensors(streamed)["e"].shape == (0, 7)
+
+    @pytest.mark.parametrize("blocks", [[], [np.float32(1.0)],
+                                        [np.zeros((2, 3)), np.zeros((2, 4))]],
+                             ids=["none", "0-d", "ragged"])
+    def test_bad_row_blocks_leave_no_file(self, tmp_path, blocks):
+        with pytest.raises(ValueError, match="'m'"):
+            tensorio.write_tensors(str(tmp_path / "m.bin"), {"m": iter(blocks)})
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestPatchArchive:
+    @staticmethod
+    def patch_set(rng, n, index, length=64):
+        return PatchSet(lo=rng.normal(size=(n, length)).astype(np.float32),
+                        hi=rng.normal(size=(n, length)).astype(np.float32),
+                        file_index=np.full(n, index), offset=np.arange(n) * length,
+                        patch_length=length, sample_rate_hz=22050, scale=3)
+
+    def test_streamed_archive_equals_one_write_of_the_concatenated_arrays(self, tmp_path, rng):
+        rows = archive.SPILL_BLOCK_BYTES // (4 * 64)
+        for sets in ([self.patch_set(rng, 5, 0), self.patch_set(rng, 0, 1),
+                      self.patch_set(rng, rows + 7, 2), self.patch_set(rng, 1, 4)], []):
+            got, want = str(tmp_path / "got.afsp"), str(tmp_path / "want.afsp")
+            assert archive.write_patch_archive(got, iter(sets), 64, 3) == sum(map(len, sets))
+            rate = sets[0].sample_rate_hz if sets else archive.EMPTY_ARCHIVE_RATE_HZ
+            write_concatenated_archive(want, sets, 64, rate, 3)
+            assert open(got, "rb").read() == open(want, "rb").read()
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["got.afsp", "want.afsp"]
+
+    def test_failing_set_leaves_the_earlier_archive_and_no_spill(self, tmp_path, rng):
+        path = str(tmp_path / "p.afsp")
+        archive.write_patch_archive(path, [self.patch_set(rng, 3, 0)], 64, 3)
+        before = open(path, "rb").read()
+
+        def sets():
+            yield self.patch_set(rng, 4, 0)
+            yield self.patch_set(rng, 4, 1)
+            raise OSError("disk gone")
+
+        with pytest.raises(OSError, match="disk gone"):
+            archive.write_patch_archive(path, sets(), 64, 3)
+        assert open(path, "rb").read() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["p.afsp"]

@@ -122,11 +122,10 @@ class TestTrainLoop:
         assert result.state.t == 3
         assert len(result.step_losses) == 3
 
-    def test_empty_patch_set_rejected(self):
-        from afsr.archive import empty_patch_set
+    def test_empty_patch_set_rejected(self, rng):
         model = Model(small_config(), seed=0)
         with pytest.raises(ValueError, match="empty"):
-            train(model, empty_patch_set(64, 16000, 2), TrainConfig(epochs=1))
+            train(model, make_patches(rng, n=0), TrainConfig(epochs=1))
 
     def test_patch_length_mismatch(self, rng):
         model = Model(small_config(), seed=0)
